@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "bench_common.h"
@@ -221,8 +221,8 @@ const Dataset& TraversalPool() {
   return ds;
 }
 
-const CompiledModel& TraversalModel(ModelKind kind) {
-  static CompiledModel udt = [] {
+const CompiledForest& TraversalModel(ModelKind kind) {
+  static CompiledForest udt = [] {
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
     auto model = Trainer(config).Train(
@@ -230,7 +230,7 @@ const CompiledModel& TraversalModel(ModelKind kind) {
     UDT_CHECK(model.ok());
     return model->Compile();
   }();
-  static CompiledModel averaging = [] {
+  static CompiledForest averaging = [] {
     TreeConfig config;
     config.algorithm = SplitAlgorithm::kUdtEs;
     auto model = Trainer(config).Train(

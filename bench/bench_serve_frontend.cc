@@ -6,7 +6,7 @@
 // its admission layer with a closed-loop multi-client driver
 // (serve/serve_harness.h): each client issues single-tuple requests back
 // to back, cycling a serve pool, through
-//   * direct: one private ServeSession per client — the no-front-end
+//   * direct: one private PredictSession per client — the no-front-end
 //             baseline (no queuing delay, but per-client sessions and no
 //             hot swap),
 //   * queue:  one shared BatchingQueue bound to a ModelRegistry entry —
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "api/predict_session.h"
 #include "api/trainer.h"
 #include "bench_common.h"
 #include "common/random.h"
@@ -39,7 +40,6 @@
 #include "serve/batching_queue.h"
 #include "serve/model_registry.h"
 #include "serve/serve_harness.h"
-#include "serve/servable.h"
 
 namespace udt {
 namespace {
@@ -66,9 +66,9 @@ Dataset NumericDataset(int tuples, int attributes, int classes, int s,
 
 // The serving guarantee for the front end: every queue response is
 // byte-identical to the direct session's answer for that tuple.
-void CheckQueueMatchesDirect(const serve::Servable& servable,
+void CheckQueueMatchesDirect(const CompiledForest& servable,
                              const Dataset& pool) {
-  serve::ServeSession direct(servable);
+  PredictSession direct(servable);
   FlatBatchResult reference;
   UDT_CHECK(direct
                 .PredictBatchInto(
@@ -98,7 +98,7 @@ void CheckQueueMatchesDirect(const serve::Servable& servable,
   }
 }
 
-void RunModel(const char* model_name, const serve::Servable& servable,
+void RunModel(const char* model_name, const CompiledForest& servable,
               const Dataset& pool, size_t requests_per_client,
               bench::JsonRows* sink) {
   CheckQueueMatchesDirect(servable, pool);
@@ -187,8 +187,7 @@ int main(int argc, char** argv) {
     config.algorithm = udt::SplitAlgorithm::kUdtEs;
     auto model = udt::Trainer(config).TrainUdt(train);
     UDT_CHECK(model.ok());
-    udt::RunModel("tree", udt::serve::Servable(model->Compile()), pool,
-                  requests, &sink);
+    udt::RunModel("tree", model->Compile(), pool, requests, &sink);
   }
   std::printf("\n");
   {
@@ -198,8 +197,7 @@ int main(int argc, char** argv) {
     config.seed = 7;
     auto forest = udt::ForestTrainer(config).TrainUdt(train);
     UDT_CHECK(forest.ok());
-    udt::RunModel("forest", udt::serve::Servable(forest->Compile()), pool,
-                  requests, &sink);
+    udt::RunModel("forest", forest->Compile(), pool, requests, &sink);
   }
 
   sink.Flush();

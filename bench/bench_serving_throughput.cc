@@ -7,7 +7,7 @@
 // trained trees through
 //   * pointer:  Model::ClassifyDistribution over the TreeNode graph
 //               (per-call scratch, one shard per worker thread), and
-//   * compiled: PredictSession::PredictBatchInto over CompiledModel's
+//   * compiled: PredictSession::PredictBatchInto over CompiledForest's
 //               struct-of-arrays layout (reusable scratch, zero
 //               allocations per tuple once warm),
 // at 1/2/4 worker threads, for both model kinds (UDT fractional
@@ -30,7 +30,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "bench_common.h"
@@ -155,7 +155,7 @@ void RunDataset(const char* dataset_name, const Dataset& train,
     const char* kind_name = kind == ModelKind::kUdt ? "udt" : "avg";
 
     WallTimer compile_timer;
-    CompiledModel compiled = model->Compile();
+    CompiledForest compiled = model->Compile();
     double compile_seconds = compile_timer.ElapsedSeconds();
 
     // The serving guarantee, re-checked in the harness itself: compiled

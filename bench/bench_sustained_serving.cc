@@ -10,7 +10,7 @@
 //   * pointer:  per-batch thread spawning over the pointer model
 //               (ClassifyDistribution shards joined per call — the v2
 //               ForEachShard execution model, kept here as the baseline),
-//   * compiled: one persistent PredictSession / ForestPredictSession per
+//   * compiled: one persistent PredictSession per
 //               configuration (session-owned worker pool created once,
 //               zero threads spawned per batch, zero steady-state
 //               allocations),
@@ -36,9 +36,8 @@
 #include <vector>
 
 #include "api/compiled_forest.h"
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/forest.h"
-#include "api/forest_session.h"
 #include "api/predict_session.h"
 #include "api/trainer.h"
 #include "bench_common.h"
@@ -72,7 +71,7 @@ Dataset NumericDataset(int tuples, int attributes, int classes, int s,
 // The pre-v3 execution model, reproduced as the baseline: classify one
 // batch by spawning `num_threads` fresh std::threads over contiguous
 // shards of a classify callback and joining them — exactly what
-// session_internal::ForEachShard did before the persistent executor.
+// the sessions' shard loop did before the persistent executor.
 template <typename ClassifyRange>
 void SpawnJoinShards(size_t n, int num_threads, ClassifyRange fn) {
   if (num_threads <= 1 || n < 2) {
@@ -259,7 +258,7 @@ int main(int argc, char** argv) {
     config.algorithm = udt::SplitAlgorithm::kUdtEs;
     auto model = udt::Trainer(config).TrainUdt(train);
     UDT_CHECK(model.ok());
-    udt::CompiledModel compiled = model->Compile();
+    udt::CompiledForest compiled = model->Compile();
     udt::PredictSession session(compiled);
     udt::RunModel(
         "tree", serve, compiled.num_classes(),
@@ -283,7 +282,7 @@ int main(int argc, char** argv) {
     auto forest = udt::ForestTrainer(config).TrainUdt(train);
     UDT_CHECK(forest.ok());
     udt::CompiledForest compiled = forest->Compile();
-    udt::ForestPredictSession session(compiled);
+    udt::PredictSession session(compiled);
     udt::RunModel(
         "forest", serve, compiled.num_classes(),
         [&](size_t i, double* out) {

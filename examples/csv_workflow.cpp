@@ -7,7 +7,7 @@
 //   3. train a distribution-based udt::Model with udt::Trainer
 //   4. persist the model to disk with Model::Save and load it back with
 //      Model::Load (schema and config travel inside the file)
-//   5. compile a serving artifact (CompiledModel::Save / Load) and check
+//   5. compile a serving artifact (CompiledForest::Save / Load) and check
 //      the reloaded flat layout serves identical predictions
 //   6. extract human-readable IF-THEN rules and a Graphviz rendering
 //
@@ -100,12 +100,12 @@ int main(int argc, char** argv) {
   std::printf("model persisted to %s and reloaded: predictions identical\n",
               model_path.c_str());
 
-  // 5. The serving artifact: the flat compiled layout has its own
-  // versioned container, so serving fleets can ship it without the
-  // training config, and Load rebuilds the identical in-memory layout.
+  // 5. The serving artifact: the flat compiled layout (a one-tree
+  // "udt-forest v1" container) ships without the training config, and
+  // Load rebuilds the identical in-memory layout.
   std::string compiled_path = out_dir + "/udt_wine.compiled";
   UDT_CHECK(session.model().Save(compiled_path).ok());
-  auto compiled = udt::CompiledModel::Load(compiled_path);
+  auto compiled = udt::CompiledForest::Load(compiled_path);
   UDT_CHECK(compiled.ok());
   UDT_CHECK(compiled->LayoutEquals(session.model()));
   udt::PredictSession reloaded_session(*compiled);

@@ -8,7 +8,7 @@
 // prints both trees, compares training accuracy (2/3 vs 1.0, as in the
 // paper's Section 4 walk-through), and classifies one uncertain test tuple
 // showing the probabilistic output of Fig 1 — first alone, then through the
-// serving path: Model::Compile -> udt::CompiledModel -> udt::PredictSession.
+// serving path: Model::Compile -> udt::CompiledForest -> udt::PredictSession.
 //
 // Run: build/examples/quickstart
 
@@ -92,36 +92,22 @@ int main() {
   // The same result serving-style: compile the tree into an immutable flat
   // artifact once, then serve batches through a reusable PredictSession
   // (per-worker scratch, zero allocations per tuple once warm).
-  udt::CompiledModel compiled = dist->Compile();
+  udt::CompiledForest compiled = dist->Compile();
   std::printf("\n== Compiled model: %d flat nodes, %d leaves ==\n",
-              compiled.num_nodes(), compiled.num_leaves());
+              compiled.num_nodes(), compiled.flat_tree().num_leaves());
   udt::PredictSession session(compiled);
 
   std::vector<udt::UncertainTuple> batch(train.tuples());
   batch.push_back(test);
-  udt::PredictOptions options;
-  options.collect_timings = true;
-  auto result = session.PredictBatch(batch, options);
+  auto result = session.PredictBatch(batch);
   UDT_CHECK(result.ok());
   std::printf("== PredictSession batch over %zu tuples (%d thread) ==\n",
               batch.size(), result->num_threads_used);
   for (size_t i = 0; i < batch.size(); ++i) {
-    std::printf("  tuple %zu -> %s  (P(A)=%.3f, P(B)=%.3f, %.1f us)\n",
-                i + 1,
+    std::printf("  tuple %zu -> %s  (P(A)=%.3f, P(B)=%.3f)\n", i + 1,
                 train.schema().class_name(result->labels[i]).c_str(),
-                result->distributions[i][0], result->distributions[i][1],
-                result->tuple_seconds[i] * 1e6);
+                result->distributions[i][0], result->distributions[i][1]);
   }
   std::printf("batch wall time: %.1f us\n", result->total_seconds * 1e6);
-
-  // Streaming entry point: push tuples as requests arrive, drain whenever
-  // a response is due. Same numbers, flat row-major output.
-  session.Push(test);
-  udt::FlatBatchResult stream;
-  session.Drain(&stream);
-  std::printf("\n== Streaming Push/Drain ==\n");
-  std::printf("streamed tuple -> %s (P(A)=%.3f, P(B)=%.3f)\n",
-              train.schema().class_name(stream.labels[0]).c_str(),
-              stream.distribution(0)[0], stream.distribution(0)[1]);
   return 0;
 }

@@ -22,12 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "api/compiled_forest.h"
 #include "api/trainer.h"
 #include "common/random.h"
 #include "pdf/pdf_builder.h"
 #include "serve/batching_queue.h"
 #include "serve/model_registry.h"
-#include "serve/servable.h"
 
 namespace {
 
@@ -50,12 +50,12 @@ udt::Dataset MakeReadings(int tuples, int s, uint64_t seed) {
   return ds;
 }
 
-udt::serve::Servable TrainServable(int tuples, uint64_t seed) {
+udt::CompiledForest TrainCompiled(int tuples, uint64_t seed) {
   udt::TreeConfig config;
   config.algorithm = udt::SplitAlgorithm::kUdtEs;
   auto model = udt::Trainer(config).TrainUdt(MakeReadings(tuples, 10, seed));
   UDT_CHECK(model.ok());
-  return udt::serve::Servable(model->Compile());
+  return model->Compile();
 }
 
 // One wave of traffic: submit every pool tuple, wait for every response,
@@ -91,7 +91,7 @@ int main() {
 
   // 1. Publish v1 and bind a queue to the entry's latest live version.
   udt::serve::ModelRegistry registry;
-  uint64_t v1 = registry.Publish("prod", TrainServable(150, 7));
+  uint64_t v1 = registry.Publish("prod", TrainCompiled(150, 7));
   std::printf("published prod v%llu (150 training tuples)\n",
               (unsigned long long)v1);
 
@@ -105,7 +105,7 @@ int main() {
 
   // 3. Hot swap: retrain on more data and publish. No pause, no queue
   //    restart — the next micro-batch snapshot resolves v2.
-  uint64_t v2 = registry.Publish("prod", TrainServable(400, 8));
+  uint64_t v2 = registry.Publish("prod", TrainCompiled(400, 8));
   std::printf("published prod v%llu (400 training tuples) — hot swap\n",
               (unsigned long long)v2);
   SendTraffic(&queue, pool, "traffic on v2:");

@@ -23,6 +23,7 @@
 #include "eval/metrics.h"
 #include "pdf/pdf_builder.h"
 #include "table/dataset.h"
+#include "tree/classify.h"
 
 namespace {
 
@@ -131,17 +132,15 @@ int main() {
   respondent.values.push_back(
       udt::UncertainValue::Categorical(std::move(*content)));
 
-  // Serve the new respondent through the streaming session entry point.
+  // Serve the new respondent through a compiled session.
   udt::PredictSession session(model->Compile());
-  session.Push(respondent);
-  udt::FlatBatchResult stream;
-  session.Drain(&stream);
+  const std::vector<double> p = session.ClassifyDistribution(respondent);
   std::printf("\nnew respondent (TV 9-12h, online 15-18h, mixed content):\n");
   for (int c = 0; c < ds.num_classes(); ++c) {
     std::printf("  P(%-8s) = %.3f\n", ds.schema().class_name(c).c_str(),
-                stream.distribution(0)[static_cast<size_t>(c)]);
+                p[static_cast<size_t>(c)]);
   }
   std::printf("-> recommended tier: %s\n",
-              ds.schema().class_name(stream.labels[0]).c_str());
+              ds.schema().class_name(udt::ArgMax(p)).c_str());
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "table/schema_io.h"
 #include "tree/flat_tree_io.h"
@@ -42,8 +43,23 @@ CompiledForest CompiledForest::Compile(const ForestModel& model) {
   return CompiledForest(std::move(rep));
 }
 
+CompiledForest CompiledForest::Compile(const Model& model) {
+  std::vector<FlatTree> trees;
+  trees.push_back(FlattenTree(model.tree()));
+  auto rep = std::make_shared<Rep>(Rep{model.schema(), model.kind(),
+                                       ForestVote::kAverage, std::move(trees)});
+  return CompiledForest(std::move(rep));
+}
+
 CompiledForest ForestModel::Compile() const {
   return CompiledForest::Compile(*this);
+}
+
+CompiledForest Model::Compile() const { return CompiledForest::Compile(*this); }
+
+const FlatTree& CompiledForest::flat_tree() const {
+  UDT_CHECK(num_trees() == 1);
+  return rep_->trees[0];
 }
 
 int CompiledForest::num_nodes() const {

@@ -1,9 +1,13 @@
-// udt::CompiledForest — the immutable serving artifact of the ensemble
-// stack, mirroring what CompiledModel is to Model. ForestModel::Compile()
-// flattens every pointer tree into a FlatTree record block and bundles the
-// lot with the shared schema, model kind and vote rule. A CompiledForest
+// udt::CompiledForest — the one immutable serving artifact of the
+// prediction API. ForestModel::Compile() flattens every pointer tree into a
+// FlatTree record block and bundles the lot with the shared schema, model
+// kind and vote rule. A single tree is a forest of one: Model::Compile()
+// returns a one-tree ForestVote::kAverage artifact that keeps the model's
+// kind. Averaging one distribution is exact — 0.0 + x is x for the
+// non-negative votes, and so is the final division by 1.0 — so the tree
+// classifies through the forest path to the same bytes. A CompiledForest
 // is one shared pointer wide — copy it freely across worker threads and
-// hand one to each udt::ForestPredictSession.
+// hand one to each udt::PredictSession.
 //
 // Persistence is versioned and self-contained ("udt-forest v1"): the
 // header carries kind/vote/schema, then one flat-tree body per tree
@@ -25,13 +29,17 @@
 
 namespace udt {
 
-// An immutable compiled forest. Obtain one from ForestModel::Compile,
-// CompiledForest::Compile, or Load/Deserialize.
+// An immutable compiled forest. Obtain one from Model::Compile,
+// ForestModel::Compile, CompiledForest::Compile, or Load/Deserialize.
 class CompiledForest {
  public:
   // Flattens every tree of the forest. The artifact classifies
   // bitwise-identically to the source ForestModel.
   static CompiledForest Compile(const ForestModel& model);
+
+  // Flattens one tree into a one-tree kAverage forest of the model's kind.
+  // The artifact classifies bitwise-identically to the source Model.
+  static CompiledForest Compile(const Model& model);
 
   // ----------------------------------------------------------- metadata
 
@@ -43,6 +51,8 @@ class CompiledForest {
     return rep_->trees[static_cast<size_t>(t)];
   }
   const std::vector<FlatTree>& trees() const { return rep_->trees; }
+  // The only tree of a one-tree artifact (checked).
+  const FlatTree& flat_tree() const;
   const std::vector<std::string>& class_names() const {
     return rep_->schema.class_names();
   }

@@ -1,80 +1,15 @@
-// udt::CompiledModel — the immutable, shareable serving artifact of the
-// prediction API. Model::Compile() flattens the trained pointer tree into a
-// FlatTree (breadth-first struct-of-arrays records, pooled leaf
-// distribution table) and bundles it with the schema and model kind: the
-// exact set of facts a serving process needs, and nothing it doesn't (no
-// training config, no mutable state). A CompiledModel is two shared
-// pointers wide — copy it freely across worker threads and hand one to
-// each udt::PredictSession.
-//
-// Persistence is versioned and self-contained ("udt-compiled v1"): Save
-// writes the flat arrays with hexfloat doubles so Load rebuilds a
-// bitwise-identical in-memory layout, validated structurally (child ids,
-// table offsets, attribute kinds against the schema) before anything
-// traverses it.
+// Forwarding header: a single tree compiles to a one-tree CompiledForest
+// (api/compiled_forest.h). The CompiledModel name remains as an alias for
+// code written against the former single-tree artifact.
 
 #ifndef UDT_API_COMPILED_MODEL_H_
 #define UDT_API_COMPILED_MODEL_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "api/model.h"
-#include "common/statusor.h"
-#include "table/attribute.h"
-#include "tree/flat_tree.h"
+#include "api/compiled_forest.h"
 
 namespace udt {
 
-// An immutable compiled model. Obtain one from Model::Compile,
-// CompiledModel::Compile, or Load/Deserialize.
-class CompiledModel {
- public:
-  // Flattens the model's tree. The compiled artifact classifies
-  // bitwise-identically to the source model.
-  static CompiledModel Compile(const Model& model);
-
-  // ----------------------------------------------------------- metadata
-
-  ModelKind kind() const { return rep_->kind; }
-  const Schema& schema() const { return rep_->schema; }
-  const FlatTree& flat_tree() const { return rep_->tree; }
-  const std::vector<std::string>& class_names() const {
-    return rep_->schema.class_names();
-  }
-  int num_classes() const { return rep_->schema.num_classes(); }
-  int num_nodes() const { return rep_->tree.num_nodes(); }
-  int num_leaves() const { return rep_->tree.num_leaves(); }
-
-  // True when the two artifacts have bitwise-identical flat layouts (every
-  // node record, table entry and double, plus kind and schema). Load after
-  // Save reproduces the layout exactly, by this definition.
-  bool LayoutEquals(const CompiledModel& other) const;
-
-  // -------------------------------------------------------- persistence
-
-  // Self-contained versioned text serialisation. Doubles are written as
-  // hexfloats, so Deserialize(Serialize()) is layout-identical.
-  std::string Serialize() const;
-  static StatusOr<CompiledModel> Deserialize(const std::string& text);
-
-  // File round-trip of Serialize/Deserialize.
-  Status Save(const std::string& path) const;
-  static StatusOr<CompiledModel> Load(const std::string& path);
-
- private:
-  struct Rep {
-    Schema schema;
-    ModelKind kind;
-    FlatTree tree;
-  };
-
-  explicit CompiledModel(std::shared_ptr<const Rep> rep)
-      : rep_(std::move(rep)) {}
-
-  std::shared_ptr<const Rep> rep_;
-};
+using CompiledModel = CompiledForest;
 
 }  // namespace udt
 

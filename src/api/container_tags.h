@@ -1,9 +1,9 @@
 // Wire tags shared by the versioned persistence containers ("udt-model
-// v1", "udt-compiled v1", "udt-forest-model v1", "udt-forest v1"): the
-// ModelKind and ForestVote tag maps, plus the bitwise table comparison
-// LayoutEquals implementations build on. One copy keeps a tag a container
-// serialises parseable by every sibling container forever — adding an
-// enum value means touching exactly this header.
+// v1", "udt-forest-model v1", "udt-forest v1"): the ModelKind and
+// ForestVote tag maps, plus the bitwise table comparison LayoutEquals
+// builds on. One copy keeps a tag a container serialises parseable by
+// every sibling container forever — adding an enum value means touching
+// exactly this header.
 
 #ifndef UDT_API_CONTAINER_TAGS_H_
 #define UDT_API_CONTAINER_TAGS_H_

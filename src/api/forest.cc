@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "api/predict_session.h"
 #include "common/logging.h"
 #include "common/math.h"
 #include "common/random.h"
@@ -141,6 +142,22 @@ std::vector<double> ForestModel::ClassifyDistribution(
 
 int ForestModel::Predict(const UncertainTuple& tuple) const {
   return ArgMax(ClassifyDistribution(tuple));
+}
+
+StatusOr<BatchResult> ForestModel::PredictBatch(
+    std::span<const UncertainTuple> tuples,
+    const PredictOptions& options) const {
+  // Thin shim over the compiled serving path, as Model::PredictBatch.
+  PredictSession session(Compile());
+  return session.PredictBatch(tuples, options);
+}
+
+StatusOr<BatchResult> ForestModel::PredictBatch(
+    const Dataset& data, const PredictOptions& options) const {
+  return PredictBatch(
+      std::span<const UncertainTuple>(data.tuples().data(),
+                                      data.tuples().size()),
+      options);
 }
 
 std::string ForestModel::Serialize() const {

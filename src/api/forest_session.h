@@ -1,166 +1,17 @@
-// udt::ForestPredictSession — the per-worker serving handle of the
-// ensemble stack, the ForestModel counterpart of udt::PredictSession. A
-// session borrows an immutable CompiledForest (shared, never copied) and
-// owns the mutable state a forest prediction needs: per-worker traversal
-// scratch plus a per-tree output row that the vote aggregation consumes in
-// place. Everything is reused call to call, so steady-state batch
-// prediction performs zero heap allocations per tuple — the N per-tree
-// traversals and the vote aggregation all run over preallocated buffers.
-//
-// The intended deployment shape mirrors the single-tree stack:
-//
-//   ForestModel forest = *ForestModel::Load(path);   // source of truth
-//   CompiledForest compiled = forest.Compile();      // share freely
-//   // ... one ForestPredictSession per worker thread:
-//   ForestPredictSession session(compiled);
-//   auto result = session.PredictBatch(tuples);
-//
-// A session is cheap to construct and NOT thread-safe: give each request
-// worker its own. (PredictBatch with num_threads > 1 shards over a
-// session-owned persistent worker pool, each worker with its own scratch
-// slot — that is safe; two concurrent calls into one session are not.)
-//
-// Execution model: identical to PredictSession — the first batch with
-// num_threads > 1 creates the session's TaskPool (num_threads - 1
-// workers), every later batch reuses it, and a wider request replaces
-// the pool at most once per width. The default micro-batch grain is the
-// tree-session grain divided by the ensemble size, since each tuple here
-// carries one traversal per tree.
+// Forwarding header: one udt::PredictSession (api/predict_session.h)
+// serves every CompiledForest, one tree or many. The ForestPredictSession
+// name remains as an alias for code written against the former
+// forest-only session.
 
 #ifndef UDT_API_FOREST_SESSION_H_
 #define UDT_API_FOREST_SESSION_H_
 
-#include <memory>
-#include <span>
-#include <vector>
-
 #include "api/compiled_forest.h"
-#include "api/forest.h"
-#include "api/model.h"
 #include "api/predict_session.h"
-#include "api/session_shard.h"
-#include "common/statusor.h"
-#include "tree/flat_tree.h"
 
 namespace udt {
 
-class ForestPredictSession {
- public:
-  // Ownership contract: a CompiledForest is a shared handle (one
-  // shared_ptr wide), and the session stores its own copy — so the
-  // session co-owns the compiled artifact for its whole lifetime. A
-  // model registry may retire/drop its reference while this session is
-  // mid-batch without dangling anything; the flat trees are freed when
-  // the last session (or registry entry) lets go.
-  explicit ForestPredictSession(CompiledForest forest);
-
-  // Same contract for callers that manage compiled artifacts behind
-  // shared_ptr (e.g. a registry handing out snapshots): the pointee's
-  // inner handle is copied, so the session stays valid even after
-  // `forest` itself is reset. `forest` must be non-null.
-  explicit ForestPredictSession(std::shared_ptr<const CompiledForest> forest);
-
-  const CompiledForest& forest() const { return forest_; }
-  int num_classes() const { return forest_.num_classes(); }
-
-  // ------------------------------------------------------- single tuple
-
-  // Classifies one tuple into caller storage (num_classes doubles): every
-  // tree's flat traversal, votes aggregated in tree order, one final
-  // division — bitwise-identical to ForestModel::ClassifyDistribution.
-  void ClassifyInto(const UncertainTuple& tuple, double* out);
-
-  // Convenience allocating forms, result-compatible with the ForestModel
-  // ones.
-  std::vector<double> ClassifyDistribution(const UncertainTuple& tuple);
-  int Predict(const UncertainTuple& tuple);
-
-  // -------------------------------------------------------------- batch
-
-  // Classifies a batch, sharded over options.num_threads workers (0 = one
-  // per hardware thread, 1 = inline; negative is an InvalidArgument
-  // error). Shards write straight into their final slots, so the result is
-  // bitwise-identical to the inline loop for every thread count — and to
-  // the pointer-tree voting of the forest this session was compiled from.
-  StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
-                                     const PredictOptions& options = {});
-  StatusOr<BatchResult> PredictBatch(const Dataset& data,
-                                     const PredictOptions& options = {});
-
-  // Same computation, flat output, no per-tuple allocation: `out` buffers
-  // are reused between calls once warm.
-  Status PredictBatchInto(std::span<const UncertainTuple> tuples,
-                          const PredictOptions& options,
-                          FlatBatchResult* out);
-
-  // Gather form for admission queues: the tuples of one micro-batch
-  // arrive from different clients and are not contiguous, so the batch
-  // is a span of pointers (each non-null, alive until the call returns).
-  // Identical sharding, scratch and output contract to the contiguous
-  // overload — results are byte-identical to classifying each tuple
-  // alone.
-  Status PredictBatchInto(std::span<const UncertainTuple* const> tuples,
-                          const PredictOptions& options,
-                          FlatBatchResult* out);
-
-  // ------------------------------------------------------ introspection
-
-  // Persistent executor workers this session has created: 0 until the
-  // first batch with num_threads > 1, then stable across calls (it only
-  // grows when a batch requests more threads than the pool seats). Tests
-  // and ops dashboards use this to verify the zero-spawn steady state.
-  int executor_workers() const { return executor_.num_workers(); }
-
- private:
-  // Per-worker mutable state: traversal scratch shared by all trees, the
-  // row one tree's distribution lands in before aggregation (scalar path),
-  // and the shard-wide per-tree row block of the batch path.
-  struct WorkerScratch {
-    FlatTraversalScratch traversal;
-    std::vector<double> tree_row;
-    std::vector<double> tree_rows;
-    std::vector<double*> tree_row_ptrs;
-  };
-
-  // Shared body of both PredictBatchInto overloads; `tuple_at(i)` yields
-  // a const UncertainTuple& for batch position i. Defined in the .cc —
-  // both instantiations live there.
-  template <typename TupleAt>
-  Status PredictBatchIntoImpl(size_t n, TupleAt tuple_at,
-                              const PredictOptions& options,
-                              FlatBatchResult* out);
-
-  // Scratch slot for worker `index`, created on first use, reused after.
-  WorkerScratch* ScratchFor(size_t index);
-
-  // Resolves PredictOptions::num_threads against the batch size.
-  StatusOr<int> ResolveThreads(int num_threads, size_t batch_size) const;
-
-  // The session pool sized for `num_threads` (nullptr for inline
-  // execution), with every scratch slot the pool's workers could touch
-  // pre-created.
-  TaskPool* EnsureExecutor(int num_threads);
-
-  void CheckTuple(const UncertainTuple& tuple) const;
-
-  // The aggregation kernel all entry points share.
-  void ClassifyWith(WorkerScratch* scratch, const UncertainTuple& tuple,
-                    double* out);
-
-  // Batch twin of ClassifyWith: classifies tuples[0..count) through every
-  // tree with the level-synchronous batch kernel, tree-outer, then
-  // aggregates votes per tuple in tree order — per tuple the identical
-  // operation sequence, so rows are bitwise-identical to ClassifyWith.
-  void ClassifyBatchWith(WorkerScratch* scratch,
-                         const UncertainTuple* const* tuples,
-                         double* const* rows, size_t count);
-
-  CompiledForest forest_;
-  std::vector<std::unique_ptr<WorkerScratch>> scratch_;
-  // Lazily created at the first multi-threaded batch, then reused for
-  // every later call (see "Execution model" above).
-  session_internal::SessionExecutor executor_;
-};
+using ForestPredictSession = PredictSession;
 
 }  // namespace udt
 

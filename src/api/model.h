@@ -3,10 +3,10 @@
 // shared_ptr<const DecisionTree> plus the metadata a serving system needs
 // (the config it was trained with, its kind, the schema / class labels),
 // and is consumed batch-first: PredictBatch shards a span of uncertain
-// tuples over a worker pool and returns distributions, argmax labels and
-// per-tuple timings in one result. Copying a Model copies two pointers and
-// a config — trees are never duplicated — so one trained Model can be
-// shared freely across threads and request handlers.
+// tuples over a worker pool and returns distributions and argmax labels in
+// one result. Copying a Model copies two pointers and a config — trees are
+// never duplicated — so one trained Model can be shared freely across
+// threads and request handlers.
 
 #ifndef UDT_API_MODEL_H_
 #define UDT_API_MODEL_H_
@@ -24,7 +24,7 @@
 
 namespace udt {
 
-class CompiledModel;
+class CompiledForest;
 
 // What the model does with a test tuple before traversal.
 enum class ModelKind {
@@ -37,11 +37,11 @@ enum class ModelKind {
 const char* ModelKindToString(ModelKind kind);
 
 // Knobs for one prediction call — the single options struct every serving
-// layer consumes: PredictSession / ForestPredictSession batches, the
-// ServeSession wrapper, and the BatchingQueue's per-drain classification
-// (BatchingConfig embeds one). Sharding knobs (num_threads, grain) never
-// change results; the output-policy knobs (top_k, abstain_threshold) shape
-// what a ServeResult reports on top of the distribution.
+// layer consumes: PredictSession batches and the BatchingQueue's per-drain
+// classification (BatchingConfig embeds one). Sharding knobs (num_threads,
+// grain) never change results; the output-policy knobs (top_k,
+// abstain_threshold) shape what a ServeResult reports on top of the
+// distribution.
 struct PredictOptions {
   // Worker threads the batch is sharded over: 1 runs inline on the calling
   // thread, 0 uses one thread per hardware thread, values above the batch
@@ -55,15 +55,10 @@ struct PredictOptions {
   // Minimum tuples per worker shard (micro-batch grain): a batch of n
   // tuples fans out over at most ceil(n / grain) workers, so tiny batches
   // stay on one or two threads instead of waking the whole pool. 0 picks
-  // the session default (8 tuples for tree sessions; forest sessions
-  // divide by the tree count, since each tuple there carries one
-  // traversal per tree). The grain never changes results, only how the
-  // work is spread.
+  // the session default (8 tuples divided by the tree count, since each
+  // tuple carries one traversal per tree). The grain never changes
+  // results, only how the work is spread.
   size_t grain = 0;
-
-  // When true, BatchResult::tuple_seconds records per-tuple wall time
-  // (costs two clock reads per tuple).
-  bool collect_timings = false;
 
   // Serving output policy (leaves already store full class distributions,
   // so both are free at predict time — see Kent & Ménager's Indecision
@@ -94,8 +89,6 @@ struct BatchResult {
   std::vector<std::vector<double>> distributions;
   // Argmax of each distribution (ties -> lowest class id).
   std::vector<int> labels;
-  // Per-tuple wall seconds; empty unless PredictOptions.collect_timings.
-  std::vector<double> tuple_seconds;
   // Wall time of the whole call, including sharding overhead.
   double total_seconds = 0.0;
   // Threads the batch was scheduled across (caller included), after
@@ -113,7 +106,6 @@ struct BatchResult {
   void Clear() {
     distributions.clear();
     labels.clear();
-    tuple_seconds.clear();
     total_seconds = 0.0;
     num_threads_used = 1;
   }
@@ -154,11 +146,12 @@ class Model {
   // Argmax of ClassifyDistribution (ties -> lowest class id).
   int Predict(const UncertainTuple& tuple) const;
 
-  // Flattens the tree into an immutable, shareable serving artifact
-  // (api/compiled_model.h). The compiled model classifies
-  // bitwise-identically to this one; serving code should compile once and
-  // hold udt::PredictSession values over the result.
-  [[nodiscard]] CompiledModel Compile() const;
+  // Flattens the tree into an immutable, shareable serving artifact: a
+  // one-tree kAverage CompiledForest of this model's kind
+  // (api/compiled_forest.h). It classifies bitwise-identically to this
+  // model; serving code should compile once and hold udt::PredictSession
+  // values over the result.
+  [[nodiscard]] CompiledForest Compile() const;
 
   // Classifies a batch. A thin shim over the compiled path: compiles the
   // tree and runs one PredictSession over it (options.num_threads workers;

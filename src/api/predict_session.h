@@ -1,14 +1,19 @@
 // udt::PredictSession — the per-worker serving handle of the prediction
-// API. A session borrows an immutable CompiledModel (shared, never copied)
-// and owns every piece of mutable state a prediction needs: per-thread
-// traversal scratch (fractional-mass stacks, constraint arrays) and the
-// streaming output buffers. All of it is reused call to call, so
-// steady-state prediction performs zero heap allocations per tuple.
+// API. A session borrows an immutable CompiledForest (shared, never copied)
+// and owns every piece of mutable state a prediction needs: per-worker
+// traversal scratch plus the per-tree output rows the vote aggregation
+// consumes in place. Everything is reused call to call, so steady-state
+// batch prediction performs zero heap allocations per tuple — the per-tree
+// traversals and the vote aggregation all run over preallocated buffers.
+//
+// One session serves trees and forests alike: Model::Compile() returns a
+// one-tree kAverage CompiledForest, whose aggregation (zero, add the one
+// tree's row, divide by 1.0) reproduces the tree's distribution exactly.
 //
 // The intended deployment shape:
 //
-//   Model model = *Model::Load(path);          // source of truth
-//   CompiledModel compiled = model.Compile();  // immutable, share freely
+//   Model model = *Model::Load(path);           // or a ForestModel
+//   CompiledForest compiled = model.Compile();  // immutable, share freely
 //   // ... one PredictSession per worker thread:
 //   PredictSession session(compiled);
 //   auto result = session.PredictBatch(tuples);
@@ -25,7 +30,9 @@
 // threads than the pool seats replaces it with a larger one (join idle
 // workers, spawn the new set), so traffic with a stable thread count
 // builds the pool exactly once. Batches smaller than grain * num_threads
-// occupy proportionally fewer workers (PredictOptions::grain).
+// occupy proportionally fewer workers (PredictOptions::grain); the
+// default grain is divided by the tree count, since each tuple carries one
+// traversal per tree.
 
 #ifndef UDT_API_PREDICT_SESSION_H_
 #define UDT_API_PREDICT_SESSION_H_
@@ -34,10 +41,10 @@
 #include <span>
 #include <vector>
 
-#include "api/compiled_model.h"
+#include "api/compiled_forest.h"
 #include "api/model.h"
-#include "api/session_shard.h"
 #include "common/statusor.h"
+#include "common/task_pool.h"
 #include "tree/flat_tree.h"
 
 namespace udt {
@@ -73,30 +80,33 @@ struct FlatBatchResult {
 
 class PredictSession {
  public:
-  // Ownership contract: a CompiledModel is a shared handle (one
+  // Ownership contract: a CompiledForest is a shared handle (one
   // shared_ptr wide), and the session stores its own copy — so the
   // session co-owns the compiled artifact for its whole lifetime. A
   // model registry may retire/drop its reference while this session is
-  // mid-batch without dangling anything; the flat arrays are freed when
+  // mid-batch without dangling anything; the flat trees are freed when
   // the last session (or registry entry) lets go.
-  explicit PredictSession(CompiledModel model);
+  explicit PredictSession(CompiledForest model);
 
   // Same contract for callers that manage compiled artifacts behind
   // shared_ptr (e.g. a registry handing out snapshots): the pointee's
   // inner handle is copied, so the session stays valid even after
   // `model` itself is reset. `model` must be non-null.
-  explicit PredictSession(std::shared_ptr<const CompiledModel> model);
+  explicit PredictSession(std::shared_ptr<const CompiledForest> model);
 
-  const CompiledModel& model() const { return model_; }
+  const CompiledForest& model() const { return model_; }
   int num_classes() const { return model_.num_classes(); }
 
   // ------------------------------------------------------- single tuple
 
-  // Classifies one tuple into caller storage (num_classes doubles). The
-  // zero-allocation primitive every other entry point builds on.
+  // Classifies one tuple into caller storage (num_classes doubles): every
+  // tree's flat traversal, votes aggregated in tree order, one final
+  // division — bitwise-identical to the source Model's or ForestModel's
+  // ClassifyDistribution.
   void ClassifyInto(const UncertainTuple& tuple, double* out);
 
-  // Convenience allocating forms, result-compatible with the Model ones.
+  // Convenience allocating forms, result-compatible with the Model and
+  // ForestModel ones.
   std::vector<double> ClassifyDistribution(const UncertainTuple& tuple);
   int Predict(const UncertainTuple& tuple);
 
@@ -106,8 +116,8 @@ class PredictSession {
   // per hardware thread, 1 = inline; negative is an InvalidArgument
   // error). Shards write straight into their final slots, so the result is
   // bitwise-identical to the inline loop for every thread count — and to
-  // the pointer-tree traversal of the model this session was compiled
-  // from.
+  // the pointer-tree classification of the model this session was
+  // compiled from.
   StatusOr<BatchResult> PredictBatch(std::span<const UncertainTuple> tuples,
                                      const PredictOptions& options = {});
   StatusOr<BatchResult> PredictBatch(const Dataset& data,
@@ -129,43 +139,36 @@ class PredictSession {
                           const PredictOptions& options,
                           FlatBatchResult* out);
 
-  // ---------------------------------------------------------- streaming
-
-  // Classifies `tuple` immediately (inline, on the calling thread) and
-  // appends the result to the session's streaming buffer. Amortised
-  // allocation-free once the buffer is warm.
-  void Push(const UncertainTuple& tuple);
-
-  // Number of results accumulated since the last Drain.
-  size_t pending() const { return stream_.labels.size(); }
-
-  // Moves the accumulated results into `out` (its previous buffers are
-  // recycled as the session's next streaming storage) and resets the
-  // stream.
-  void Drain(FlatBatchResult* out);
-
   // ------------------------------------------------------ introspection
 
   // Persistent executor workers this session has created: 0 until the
   // first batch with num_threads > 1, then stable across calls (it only
   // grows when a batch requests more threads than the pool seats). Tests
   // and ops dashboards use this to verify the zero-spawn steady state.
-  int executor_workers() const { return executor_.num_workers(); }
+  int executor_workers() const { return pool_ ? pool_->num_workers() : 0; }
 
  private:
-  // Shared body of both PredictBatchInto overloads; `tuple_at(i)` yields
-  // a const UncertainTuple& for batch position i. Defined in the .cc —
-  // both instantiations live there.
+  // Per-worker mutable state: traversal scratch shared by all trees, the
+  // row one tree's distribution lands in before aggregation (scalar path),
+  // and the shard-wide per-tree row block of the batch path.
+  struct WorkerScratch {
+    FlatTraversalScratch traversal;
+    std::vector<double> tree_row;
+    std::vector<double> tree_rows;
+    std::vector<double*> tree_row_ptrs;
+  };
+
+  // Shared body of every batch entry point; `tuple_at(i)` yields a const
+  // UncertainTuple& for batch position i. Returns the scheduled width
+  // (BatchResult::num_threads_used). Defined in the .cc — every
+  // instantiation lives there.
   template <typename TupleAt>
-  Status PredictBatchIntoImpl(size_t n, TupleAt tuple_at,
-                              const PredictOptions& options,
-                              FlatBatchResult* out);
+  StatusOr<int> PredictBatchIntoImpl(size_t n, TupleAt tuple_at,
+                                     const PredictOptions& options,
+                                     FlatBatchResult* out);
 
   // Scratch slot for worker `index`, created on first use, reused after.
-  FlatTraversalScratch* ScratchFor(size_t index);
-
-  // Resolves PredictOptions::num_threads against the batch size.
-  StatusOr<int> ResolveThreads(int num_threads, size_t batch_size) const;
+  WorkerScratch* ScratchFor(size_t index);
 
   // The session pool sized for `num_threads` (nullptr for inline
   // execution), with every scratch slot the pool's workers could touch
@@ -174,12 +177,23 @@ class PredictSession {
 
   void CheckTuple(const UncertainTuple& tuple) const;
 
-  CompiledModel model_;
-  std::vector<std::unique_ptr<FlatTraversalScratch>> scratch_;
-  FlatBatchResult stream_;
+  // The aggregation kernel all single-tuple entry points share.
+  void ClassifyWith(WorkerScratch* scratch, const UncertainTuple& tuple,
+                    double* out);
+
+  // Batch twin of ClassifyWith: classifies tuples[0..count) through every
+  // tree, tree-outer, then aggregates votes per tuple in tree order — per
+  // tuple the identical operation sequence, so rows are bitwise-identical
+  // to ClassifyWith.
+  void ClassifyBatchWith(WorkerScratch* scratch,
+                         const UncertainTuple* const* tuples,
+                         double* const* rows, size_t count);
+
+  CompiledForest model_;
+  std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   // Lazily created at the first multi-threaded batch, then reused for
   // every later call (see "Execution model" above).
-  session_internal::SessionExecutor executor_;
+  std::unique_ptr<TaskPool> pool_;
 };
 
 }  // namespace udt

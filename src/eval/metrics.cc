@@ -1,7 +1,6 @@
 #include "eval/metrics.h"
 
 #include "api/forest.h"
-#include "api/forest_session.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -100,27 +99,10 @@ double EvaluateAccuracy(const Model& model, const Dataset& test,
   return EvaluateConfusion(model, test, options).Accuracy();
 }
 
-ConfusionMatrix EvaluateConfusion(ForestPredictSession& session,
-                                  const Dataset& test,
-                                  const PredictOptions& options) {
-  StatusOr<BatchResult> batch = session.PredictBatch(test, options);
-  UDT_CHECK(batch.ok());
-  ConfusionMatrix matrix(test.num_classes());
-  for (int i = 0; i < test.num_tuples(); ++i) {
-    matrix.Add(test.tuple(i).label, batch->labels[static_cast<size_t>(i)]);
-  }
-  return matrix;
-}
-
-double EvaluateAccuracy(ForestPredictSession& session, const Dataset& test,
-                        const PredictOptions& options) {
-  return EvaluateConfusion(session, test, options).Accuracy();
-}
-
 ConfusionMatrix EvaluateConfusion(const ForestModel& forest,
                                   const Dataset& test,
                                   const PredictOptions& options) {
-  ForestPredictSession session(forest.Compile());
+  PredictSession session(forest.Compile());
   return EvaluateConfusion(session, test, options);
 }
 
@@ -129,7 +111,7 @@ double EvaluateAccuracy(const ForestModel& forest, const Dataset& test,
   return EvaluateConfusion(forest, test, options).Accuracy();
 }
 
-AbstentionReport EvaluateWithAbstention(ForestPredictSession& session,
+AbstentionReport EvaluateWithAbstention(PredictSession& session,
                                         const Dataset& test,
                                         const PredictOptions& options) {
   StatusOr<BatchResult> batch = session.PredictBatch(test, options);
@@ -169,7 +151,7 @@ AbstentionReport EvaluateWithAbstention(ForestPredictSession& session,
 AbstentionReport EvaluateWithAbstention(const ForestModel& forest,
                                         const Dataset& test,
                                         const PredictOptions& options) {
-  ForestPredictSession session(forest.Compile());
+  PredictSession session(forest.Compile());
   return EvaluateWithAbstention(session, test, options);
 }
 

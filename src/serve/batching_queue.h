@@ -2,7 +2,7 @@
 // single-tuple requests" and one fast PredictSession. Concurrent Submit
 // calls enqueue (tuple pointer, completion) pairs; a dedicated drainer
 // thread coalesces them into micro-batches and classifies each batch with
-// one gather PredictBatchInto call on a persistent ServeSession — so N
+// one gather PredictBatchInto call on a persistent PredictSession — so N
 // clients share one session, one scratch set and one worker pool instead
 // of paying per-request session or thread costs.
 //
@@ -46,11 +46,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/predict_session.h"
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "serve/model_registry.h"
-#include "serve/servable.h"
 
 namespace udt {
 namespace serve {
@@ -180,7 +180,7 @@ class BatchingQueue {
 
   // Drainer-thread state (touched only by drainer_, no lock needed).
   ModelHandle bound_;
-  std::optional<ServeSession> session_;
+  std::optional<PredictSession> session_;
   std::vector<const UncertainTuple*> tuple_ptrs_;
   FlatBatchResult flat_;
   std::vector<int> top_scratch_;

@@ -8,11 +8,12 @@
 namespace udt {
 namespace serve {
 
-uint64_t ModelRegistry::Publish(const std::string& name, Servable servable) {
+uint64_t ModelRegistry::Publish(const std::string& name,
+                                CompiledForest servable) {
   MutexLock lock(&mu_);
   NamedEntry& named = entries_[name];
   const uint64_t version = named.next_version++;
-  // Constructing under the lock is fine: a Servable moves in O(1).
+  // Constructing under the lock is fine: a CompiledForest moves in O(1).
   named.versions.push_back(std::make_shared<RegisteredModel>(
       RegisteredModel{name, version, std::move(servable)}));
   return version;

@@ -1,7 +1,8 @@
 // udt::serve::ModelRegistry — the multi-tenant model store of the serving
 // front end: named, monotonically versioned entries, each holding one
-// Servable (a compiled tree or forest). Publish/Retire/Resolve are the
-// whole surface; everything else falls out of the ownership story.
+// CompiledForest (a single tree compiles to a forest of one).
+// Publish/Retire/Resolve are the whole surface; everything else falls out
+// of the ownership story.
 //
 // Atomic hot swap. The registry hands out std::shared_ptr snapshots
 // (ModelHandle) and mutates only the map under its mutex — never a
@@ -32,10 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "api/compiled_forest.h"
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
-#include "serve/servable.h"
 
 namespace udt {
 namespace serve {
@@ -45,7 +46,7 @@ namespace serve {
 struct RegisteredModel {
   std::string name;
   uint64_t version = 0;
-  Servable servable;
+  CompiledForest servable;
 };
 
 // A snapshot of one registry entry: co-owns the artifact, stays valid
@@ -62,7 +63,8 @@ class ModelRegistry {
   // (1 for a fresh name, previous max + 1 after). The new version is
   // immediately what Resolve(name) returns; in-flight holders of older
   // snapshots are unaffected.
-  [[nodiscard]] uint64_t Publish(const std::string& name, Servable servable);
+  [[nodiscard]] uint64_t Publish(const std::string& name,
+                                 CompiledForest servable);
 
   // Removes one version. NotFound if the name or version is not live.
   // Snapshots already resolved keep serving; only the registry's

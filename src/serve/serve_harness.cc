@@ -100,13 +100,13 @@ LatencyStats SummarizeLatencies(std::vector<double>& latencies_us,
   return stats;
 }
 
-LatencyStats RunDirectClients(const Servable& servable,
+LatencyStats RunDirectClients(const CompiledForest& model,
                               std::span<const UncertainTuple> pool,
                               const HarnessOptions& options) {
   UDT_CHECK(!pool.empty());
   const size_t stride = static_cast<size_t>(options.num_clients);
   return DriveClients(options, [&](size_t c, std::vector<double>* out) {
-    ServeSession session(servable);
+    PredictSession session(model);
     std::vector<double> row(static_cast<size_t>(session.num_classes()));
     for (size_t j = 0; j < options.requests_per_client; ++j) {
       const UncertainTuple& tuple = pool[(c + j * stride) % pool.size()];

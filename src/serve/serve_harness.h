@@ -4,7 +4,7 @@
 // (closed loop: the next request leaves when the previous response
 // arrives), cycling through a tuple pool, and records one wall-clock
 // latency per request. Two modes bracket the design space:
-//   * direct — every client owns a private ServeSession and classifies
+//   * direct — every client owns a private PredictSession and classifies
 //     inline: the per-client-session baseline (no queuing delay, but one
 //     session + scratch set per client);
 //   * queue  — every client submits to one shared BatchingQueue and waits
@@ -20,8 +20,8 @@
 #include <span>
 #include <vector>
 
+#include "api/compiled_forest.h"
 #include "serve/batching_queue.h"
-#include "serve/servable.h"
 
 namespace udt {
 namespace serve {
@@ -47,9 +47,9 @@ struct HarnessOptions {
   size_t requests_per_client = 1000;
 };
 
-// Direct mode: `num_clients` threads, each with its own ServeSession over
-// `servable`, classifying its share of `pool` round-robin.
-LatencyStats RunDirectClients(const Servable& servable,
+// Direct mode: `num_clients` threads, each with its own PredictSession over
+// `model`, classifying its share of `pool` round-robin.
+LatencyStats RunDirectClients(const CompiledForest& model,
                               std::span<const UncertainTuple> pool,
                               const HarnessOptions& options);
 

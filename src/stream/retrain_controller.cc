@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "eval/metrics.h"
-#include "serve/servable.h"
 #include "storage/append_writer.h"
 #include "storage/dataset_file.h"
 #include "table/schema_io.h"
@@ -96,13 +95,13 @@ Status RetrainController::AddLabeled(UncertainTuple tuple) {
   }
   if (window_.size() >= policy_.window_capacity) window_.pop_front();
   window_.push_back(std::move(tuple));
-  ++labeled_since_publish_;
+  ++labeled_since_attempt_;
   return Status::OK();
 }
 
 bool RetrainController::ScheduleDue() const {
   return policy_.schedule_every > 0 &&
-         labeled_since_publish_ >= policy_.schedule_every &&
+         labeled_since_attempt_ >= policy_.schedule_every &&
          window_.size() >= policy_.min_window;
 }
 
@@ -188,6 +187,10 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
 
   UDT_ASSIGN_OR_RETURN(ForestModel candidate, trainer_.Train(request));
   ++generations_;
+  // The attempt completed: the schedule restarts whether the candidate is
+  // published or rolled back, so a rollback does not leave the schedule
+  // due and retrain on every later label.
+  labeled_since_attempt_ = 0;
 
   if (holdout != nullptr) {
     report.candidate_accuracy = EvaluateAccuracy(candidate, *holdout);
@@ -202,13 +205,11 @@ StatusOr<RetrainReport> RetrainController::TrainValidatePublish(
     }
   }
 
-  report.version =
-      registry_->Publish(name_, serve::Servable(candidate.Compile()));
+  report.version = registry_->Publish(name_, candidate.Compile());
   report.published = true;
   incumbent_ = std::make_shared<const ForestModel>(std::move(candidate));
   incumbent_version_ = report.version;
   incumbent_oob_error_ = report.oob.error;
-  labeled_since_publish_ = 0;
   return report;
 }
 

@@ -54,8 +54,9 @@ struct RetrainPolicy {
   size_t min_window = 64;
 
   // Tuple-count schedule: when > 0, ScheduleDue() turns true every this
-  // many labeled tuples since the last publish, drift or not. 0 disables
-  // (drift-triggered only).
+  // many labeled tuples since the last completed retrain attempt
+  // (published or rolled back), drift or not. 0 disables (drift-triggered
+  // only).
   int64_t schedule_every = 0;
 
   // Fraction of the window held out for validation (deterministic
@@ -120,7 +121,8 @@ class RetrainController {
   // arity; oldest tuple evicted at capacity).
   Status AddLabeled(UncertainTuple tuple);
 
-  // True when the tuple-count schedule has fired since the last publish.
+  // True when the tuple-count schedule has fired since the last completed
+  // retrain attempt.
   bool ScheduleDue() const;
 
   // True when the window holds enough tuples for Retrain to accept — the
@@ -141,7 +143,7 @@ class RetrainController {
   int64_t window_size() const {
     return static_cast<int64_t>(window_.size());
   }
-  int64_t labeled_since_publish() const { return labeled_since_publish_; }
+  int64_t labeled_since_attempt() const { return labeled_since_attempt_; }
   int64_t generations() const { return generations_; }
 
  private:
@@ -159,7 +161,7 @@ class RetrainController {
   std::shared_ptr<const ForestModel> incumbent_;
   uint64_t incumbent_version_ = 0;
   double incumbent_oob_error_ = std::numeric_limits<double>::quiet_NaN();
-  int64_t labeled_since_publish_ = 0;
+  int64_t labeled_since_attempt_ = 0;
   int64_t generations_ = 0;
 };
 

@@ -1,5 +1,5 @@
 // The schema block shared by every versioned udt container ("udt-model
-// v1", "udt-compiled v1", "udt-forest v1", ...): a line-oriented classes +
+// v1", "udt-forest v1", "udt-dataset v1", ...): a line-oriented classes +
 // attributes section. Historically each container carried its own copy of
 // the writer and parser; this header is the single implementation they all
 // delegate to, so a format fix lands everywhere at once.
@@ -31,7 +31,7 @@ namespace udt {
 // offending 1-based line number. Read paths that consume lines behind the
 // reader's back (raw getline on stream()) would desynchronise the count —
 // route every line through Next(), as tree/flat_tree_io does for the tree
-// bodies embedded in the compiled containers.
+// bodies embedded in the compiled forest container.
 class LineReader {
  public:
   // `context` tags error messages, e.g. "udt-model". `in` must outlive

@@ -551,95 +551,9 @@ void ClassifyFlatMeansBatch(const FlatTree& flat,
                             const UncertainTuple* const* tuples,
                             double* const* rows, size_t n,
                             FlatTraversalScratch* scratch) {
-  UDT_CHECK(n <= static_cast<size_t>(
-                     std::numeric_limits<int32_t>::max()));
-  FlatBatchScratch& bs = scratch->batch;
-  const int k = flat.num_classes;
-
-  // Reduce every tuple to its means up front (block-major), exactly the
-  // per-attribute reduction of ClassifyFlatMeans; tuples are independent,
-  // so computing them batch-first changes nothing.
-  const size_t attrs = n > 0 ? tuples[0]->values.size() : 0;
-  bs.mean_values.assign(n * attrs, 0.0);
-  bs.mean_categories.assign(n * attrs, -1);
   for (size_t t = 0; t < n; ++t) {
-    const UncertainTuple& tuple = *tuples[t];
-    UDT_DCHECK(tuple.values.size() == attrs);
-    for (size_t j = 0; j < attrs; ++j) {
-      const UncertainValue& v = tuple.values[j];
-      if (v.is_numerical()) {
-        bs.mean_values[t * attrs + j] = v.pdf().Mean();
-      } else {
-        bs.mean_categories[t * attrs + j] =
-            v.categorical().MostLikely();
-      }
-    }
+    ClassifyFlatMeans(flat, *tuples[t], scratch, rows[t]);
   }
-
-  for (size_t t = 0; t < n; ++t) std::fill(rows[t], rows[t] + k, 0.0);
-
-  // Lockstep single-path walks: each round advances every live tuple one
-  // level, compacting finished walkers out in place. Unlike the full UDT
-  // kernel there is no grouping pass — a means walk never fragments, so a
-  // per-round counting sort would cost more than the one-node advance it
-  // organises (measured 2-6x slower than the scalar walk); the dense
-  // sweep with prefetch already exposes the memory-level parallelism
-  // across tuples. Weight and constraint fields of the items are unused —
-  // a means walk carries weight exactly 1.0 and needs no path
-  // constraints. Each tuple accumulates at most one leaf, so no rank
-  // replay is needed; a tuple whose walk breaks on an absent categorical
-  // child accumulates nothing and falls back to the uniform distribution
-  // in Renormalise, as in the scalar kernel.
-  bs.frontier.clear();
-  bs.frontier.reserve(n);
-  for (size_t t = 0; t < n; ++t) {
-    bs.frontier.push_back({static_cast<int32_t>(t), 0, -1, 1.0});
-  }
-  size_t live = bs.frontier.size();
-  while (live > 0) {
-    size_t out = 0;
-    for (size_t idx = 0; idx < live; ++idx) {
-      if (idx + kPrefetchAhead < live) {
-        const FlatBatchItem& pf = bs.frontier[idx + kPrefetchAhead];
-        if (flat.node_kind(pf.node) == FlatNodeKind::kLeaf) {
-          UDT_PREFETCH(flat.leaf_values.data() +
-                       flat.first[static_cast<size_t>(pf.node)]);
-        }
-      }
-      const FlatBatchItem item = bs.frontier[idx];
-      const size_t i = static_cast<size_t>(item.node);
-      const FlatNodeKind kind = flat.node_kind(item.node);
-      if (kind == FlatNodeKind::kLeaf) {
-        double* row = rows[item.tuple];
-        const double* dist = flat.leaf_values.data() + flat.first[i];
-        for (int c = 0; c < k; ++c) row[c] += 1.0 * dist[c];
-        continue;
-      }
-      const size_t j = static_cast<size_t>(flat.attribute[i]);
-      const size_t mean_index = static_cast<size_t>(item.tuple) * attrs + j;
-      int32_t next;
-      if (kind == FlatNodeKind::kCategorical) {
-        // Same out-of-arity bounds check as the scalar kernel: a
-        // most-likely category beyond the node's child table behaves like
-        // an absent child.
-        const int32_t cat = bs.mean_categories[mean_index];
-        next = cat < flat.num_children[i]
-                   ? flat.child_table[static_cast<size_t>(flat.first[i]) +
-                                      static_cast<size_t>(cat)]
-                   : -1;
-        if (next < 0) continue;
-      } else {
-        next = bs.mean_values[mean_index] <= flat.split_point[i]
-                   ? flat.first[i]
-                   : flat.first[i] + 1;
-      }
-      // out <= idx always, so the in-place compaction never overtakes
-      // the read cursor.
-      bs.frontier[out++] = {item.tuple, next, -1, 1.0};
-    }
-    live = out;
-  }
-  for (size_t t = 0; t < n; ++t) Renormalise(k, rows[t]);
 }
 
 }  // namespace udt

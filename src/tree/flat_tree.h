@@ -30,7 +30,7 @@ enum class FlatNodeKind : uint8_t {
 };
 
 // The serving-side tree: parallel per-node arrays plus two pooled tables.
-// Plain data, movable and copyable; CompiledModel wraps it immutably.
+// Plain data, movable and copyable; CompiledForest wraps it immutably.
 struct FlatTree {
   int num_classes = 0;
 
@@ -137,10 +137,6 @@ struct FlatBatchScratch {
   std::vector<const UncertainTuple*> tuple_ptrs;
   std::vector<double*> row_ptrs;
 
-  // Batch means cache for the averaging fast path (block-major).
-  std::vector<double> mean_values;
-  std::vector<int32_t> mean_categories;
-
   // DFS-preorder node ranks, one entry per tree seen by this scratch.
   struct RankCacheEntry {
     const FlatTree* tree;
@@ -199,8 +195,9 @@ void ClassifyFlatBatch(const FlatTree& flat,
                        double* const* rows, size_t n,
                        FlatTraversalScratch* scratch);
 
-// Batch form of ClassifyFlatMeans: lockstep single-path walks, one per
-// tuple. Bitwise-identical to n sequential ClassifyFlatMeans calls.
+// Batch form of ClassifyFlatMeans: n sequential ClassifyFlatMeans calls.
+// A means walk never fragments, so no batch schedule of it beat the scalar
+// walk; the sessions call ClassifyFlatMeans directly.
 void ClassifyFlatMeansBatch(const FlatTree& flat,
                             const UncertainTuple* const* tuples,
                             double* const* rows, size_t n,

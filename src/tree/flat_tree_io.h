@@ -1,8 +1,8 @@
-// Text serialisation of the flat serving layout, shared by the versioned
-// serving containers ("udt-compiled v1" wraps one body, "udt-forest v1"
-// wraps one per tree). The body is self-delimiting — a tables header
-// declares every count up front — so containers can concatenate bodies and
-// a truncated file fails cleanly. Doubles travel as hexfloats: the loaded
+// Text serialisation of the flat serving layout, the tree bodies of the
+// versioned serving container ("udt-forest v1" wraps one body per tree).
+// The body is self-delimiting — a tables header declares every count up
+// front — so the container concatenates bodies and a truncated file fails
+// cleanly. Doubles travel as hexfloats: the loaded
 // layout is bitwise-identical to the saved one.
 //
 // Body shape:

@@ -179,19 +179,6 @@ TEST(ModelPredictBatchTest, EmptyBatch) {
   EXPECT_TRUE(result->labels.empty());
 }
 
-TEST(ModelPredictBatchTest, TimingsCollectedOnRequest) {
-  Dataset ds = MakeDataset(40, 2, 9);
-  Model model = TrainModel(ds, ModelKind::kUdt);
-  BatchResult timed = MustPredictBatch(
-      model, ds, {.num_threads = 2, .collect_timings = true});
-  ASSERT_EQ(timed.tuple_seconds.size(), static_cast<size_t>(ds.num_tuples()));
-  for (double s : timed.tuple_seconds) EXPECT_GE(s, 0.0);
-  EXPECT_GT(timed.total_seconds, 0.0);
-
-  BatchResult untimed = MustPredictBatch(model, ds, {.num_threads = 2});
-  EXPECT_TRUE(untimed.tuple_seconds.empty());
-}
-
 TEST(ModelPersistenceTest, SerializeDeserializeRoundTrip) {
   Dataset ds = MakeDataset(100, 3, 41);
   Model model = TrainModel(ds, ModelKind::kUdt);

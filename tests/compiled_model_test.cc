@@ -1,7 +1,7 @@
-// CompiledModel: flattening invariants (breadth-first layout, pooled leaf
-// table) and the versioned serialisation contract — Save/Load must rebuild
-// a bitwise-identical in-memory layout, and malformed or hostile input must
-// fail with a Status.
+// A compiled tree (a one-tree CompiledForest): flattening invariants
+// (breadth-first layout, pooled leaf table) and the versioned serialisation
+// contract — Save/Load must rebuild a bitwise-identical in-memory layout,
+// and malformed or hostile input must fail with a Status.
 
 #include <gtest/gtest.h>
 
@@ -157,79 +157,114 @@ TEST(CompiledPersistenceTest, AveragingKindSurvivesRoundTrip) {
   EXPECT_TRUE(restored->LayoutEquals(compiled));
 }
 
+TEST(CompiledPersistenceTest, OneTreeArtifactIsAForestOfOne) {
+  // A tree compiles to the forest container: one tree, kAverage voting,
+  // the model's own kind.
+  Dataset ds = NumericDataset(90, 2, 63);
+  for (ModelKind kind : {ModelKind::kUdt, ModelKind::kAveraging}) {
+    auto model = Trainer().Train(TrainRequest::For(ds, kind));
+    ASSERT_TRUE(model.ok());
+    CompiledModel compiled = model->Compile();
+    EXPECT_EQ(compiled.num_trees(), 1);
+    EXPECT_EQ(compiled.vote(), ForestVote::kAverage);
+    EXPECT_EQ(compiled.kind(), kind);
+    const std::string text = compiled.Serialize();
+    EXPECT_EQ(text.rfind("udt-forest v1\n", 0), 0u);
+    EXPECT_NE(text.find("\nvote avg\n"), std::string::npos);
+    EXPECT_NE(text.find("\ntrees 1\n"), std::string::npos);
+  }
+}
+
+// Deserialize must fail, and with the message of the check the input
+// targets — a failure for an unrelated reason (say, an early truncation)
+// would leave the targeted check untested.
+void ExpectRejected(const std::string& text, const std::string& reason) {
+  auto compiled = CompiledModel::Deserialize(text);
+  ASSERT_FALSE(compiled.ok()) << "accepted: " << text;
+  EXPECT_NE(compiled.status().message().find(reason), std::string::npos)
+      << compiled.status().message();
+}
+
 TEST(CompiledPersistenceTest, DeserializeRejectsMalformed) {
   EXPECT_FALSE(CompiledModel::Deserialize("").ok());
-  EXPECT_FALSE(CompiledModel::Deserialize("not-a-compiled-model").ok());
+  ExpectRejected("not-a-compiled-model", "bad magic line");
   // A v1 *model* container is not a compiled container.
-  EXPECT_FALSE(CompiledModel::Deserialize("udt-model v1\nkind udt\n").ok());
-  EXPECT_FALSE(
-      CompiledModel::Deserialize("udt-compiled v1\nkind bogus\n").ok());
+  ExpectRejected("udt-model v1\nkind udt\n", "bad magic line");
+  ExpectRejected("udt-forest v1\nkind bogus\n", "unknown model kind");
   // Hostile counts fail with a Status, not a bad_alloc.
-  EXPECT_FALSE(
-      CompiledModel::Deserialize("udt-compiled v1\nkind udt\n"
-                                 "classes 2000000000\n")
-          .ok());
+  ExpectRejected(
+      "udt-forest v1\nkind udt\nvote avg\n"
+      "classes 2000000000\n",
+      "bad class count");
+}
+
+TEST(CompiledPersistenceTest, RetiredSingleTreeContainerIsBadMagic) {
+  // The former single-tree container is no longer read: a tree ships as a
+  // one-tree "udt-forest v1".
+  ExpectRejected(
+      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
+      "attributes 1\nattr num 0 x\n"
+      "tables nodes=1 children=0 leaves=2\n"
+      "n 0 -1 0x0p+0 0 0\n"
+      "0x1p-1 0x1p-1\n",
+      "bad magic line: udt-compiled v1");
 }
 
 TEST(CompiledPersistenceTest, DeserializeRejectsStructurallyInvalid) {
   // Valid header, structurally broken tree sections: every variant must be
   // caught by validation, never crash a traversal later.
   const std::string header =
-      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
-      "attributes 1\nattr num 0 x\n";
+      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
+      "attributes 1\nattr num 0 x\ntrees 1\n";
   // Root's left child id points backwards (cycle).
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 0 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 2 0\n")
-                   .ok());
+  ExpectRejected(header +
+                     "tables nodes=3 children=0 leaves=4\n"
+                     "n 1 0 0x1p+0 0 0\n"
+                     "n 0 -1 0x0p+0 0 0\n"
+                     "n 0 -1 0x0p+0 2 0\n"
+                     "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n",
+                 "numerical child out of range");
   // Left child id of INT32_MAX: the range check must not wrap.
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 2147483647 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 2 0\n"
-                   "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n")
-                   .ok());
+  ExpectRejected(header +
+                     "tables nodes=3 children=0 leaves=4\n"
+                     "n 1 0 0x1p+0 2147483647 0\n"
+                     "n 0 -1 0x0p+0 0 0\n"
+                     "n 0 -1 0x0p+0 2 0\n"
+                     "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n",
+                 "numerical child out of range");
   // Leaf offset beyond the pooled table.
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 1 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 4 0\n"
-                   "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n")
-                   .ok());
+  ExpectRejected(header +
+                     "tables nodes=3 children=0 leaves=4\n"
+                     "n 1 0 0x1p+0 1 0\n"
+                     "n 0 -1 0x0p+0 0 0\n"
+                     "n 0 -1 0x0p+0 4 0\n"
+                     "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n",
+                 "leaf offset out of range");
   // Numerical split on a categorical attribute id.
   const std::string cat_header =
-      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
-      "attributes 1\nattr cat 3 c\n";
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   cat_header +
-                   "tables nodes=3 children=0 leaves=4\n"
-                   "n 1 0 0x1p+0 1 0\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "n 0 -1 0x0p+0 2 0\n"
-                   "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n")
-                   .ok());
+      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
+      "attributes 1\nattr cat 3 c\ntrees 1\n";
+  ExpectRejected(cat_header +
+                     "tables nodes=3 children=0 leaves=4\n"
+                     "n 1 0 0x1p+0 1 0\n"
+                     "n 0 -1 0x0p+0 0 0\n"
+                     "n 0 -1 0x0p+0 2 0\n"
+                     "0x1p-1 0x1p-1 0x1p-1 0x1p-1\n",
+                 "bad numerical attribute id");
   // Truncated leaf table.
-  EXPECT_FALSE(CompiledModel::Deserialize(
-                   header +
-                   "tables nodes=1 children=0 leaves=2\n"
-                   "n 0 -1 0x0p+0 0 0\n"
-                   "0x1p-1\n")
-                   .ok());
+  ExpectRejected(header +
+                     "tables nodes=1 children=0 leaves=2\n"
+                     "n 0 -1 0x0p+0 0 0\n"
+                     "0x1p-1\n",
+                 "leaf table holds 1 entries, expected 2");
 }
 
 TEST(CompiledPersistenceTest, AcceptsMinimalValidArtifact) {
-  // Smallest well-formed artifact: a single leaf. Doubles written as
-  // hexfloats must load to the exact bit pattern.
+  // Smallest well-formed artifact: a one-tree forest of a single leaf.
+  // Doubles written as hexfloats must load to the exact bit pattern.
   const std::string text =
-      "udt-compiled v1\nkind udt\nclasses 2\nA\nB\n"
-      "attributes 1\nattr num 0 x\n"
+      "udt-forest v1\nkind udt\nvote avg\nclasses 2\nA\nB\n"
+      "attributes 1\nattr num 0 x\ntrees 1\n"
       "tables nodes=1 children=0 leaves=2\n"
       "n 0 -1 0x0p+0 0 0\n"
       "0x1.5555555555555p-2 0x1.5555555555556p-1\n";

@@ -3,7 +3,7 @@
 // pointer-tree traversal, for every tree the builder-determinism fixtures
 // produce (synthetic Gaussian, Japanese-vowel-like, mixed categorical), on
 // every split algorithm, for both model kinds, at 1 and 4 threads, through
-// every session entry point (batch, flat batch, single tuple, streaming).
+// every session entry point (batch, flat batch, single tuple).
 
 #include <gtest/gtest.h>
 
@@ -183,7 +183,7 @@ TEST_P(CompiledEquivalenceTest, AllSessionEntryPointsAgree) {
   ASSERT_EQ(flat.size(), batch->distributions.size());
   ASSERT_EQ(flat.labels, batch->labels);
 
-  // Single-tuple and streaming paths, interleaved with the batch results.
+  // Single-tuple paths, interleaved with the batch results.
   const size_t k = static_cast<size_t>(session.num_classes());
   for (int i = 0; i < ds.num_tuples(); ++i) {
     const size_t ui = static_cast<size_t>(i);
@@ -192,15 +192,7 @@ TEST_P(CompiledEquivalenceTest, AllSessionEntryPointsAgree) {
     std::span<const double> row = flat.distribution(ui);
     EXPECT_EQ(std::memcmp(row.data(), single.data(), k * sizeof(double)), 0)
         << i;
-    session.Push(ds.tuple(i));
   }
-  EXPECT_EQ(session.pending(), static_cast<size_t>(ds.num_tuples()));
-  FlatBatchResult streamed;
-  session.Drain(&streamed);
-  EXPECT_EQ(session.pending(), 0u);
-  ASSERT_EQ(streamed.size(), static_cast<size_t>(ds.num_tuples()));
-  EXPECT_EQ(streamed.labels, batch->labels);
-  EXPECT_TRUE(BytesEqual(streamed.distributions, flat.distributions));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CompiledEquivalenceTest,
@@ -374,71 +366,6 @@ TEST(PredictSessionTest, NumThreadsUsedReflectsGrainClamping) {
   auto big = session.PredictBatch(ds, {.num_threads = 4});
   ASSERT_TRUE(big.ok());
   EXPECT_EQ(big->num_threads_used, 4);
-}
-
-TEST(PredictSessionTest, DrainOnEmptySessionYieldsEmptyResult) {
-  Dataset ds = SyntheticDataset(40, 2, 2, 6, 5);
-  auto model = Trainer().TrainUdt(ds);
-  ASSERT_TRUE(model.ok());
-  PredictSession session(model->Compile());
-
-  // Drain with nothing pushed: well-defined empty result, num_classes
-  // still set so downstream code can size buffers.
-  FlatBatchResult out;
-  session.Drain(&out);
-  EXPECT_EQ(out.size(), 0u);
-  EXPECT_TRUE(out.distributions.empty());
-  EXPECT_EQ(out.num_classes, session.num_classes());
-  EXPECT_EQ(session.pending(), 0u);
-
-  // Drain called twice: the second drain is empty, not a replay, and
-  // recycles the caller's buffers without leaking earlier results.
-  session.Push(ds.tuple(0));
-  session.Push(ds.tuple(1));
-  session.Drain(&out);
-  ASSERT_EQ(out.size(), 2u);
-  FlatBatchResult again = std::move(out);
-  session.Drain(&again);
-  EXPECT_EQ(again.size(), 0u);
-  EXPECT_EQ(session.pending(), 0u);
-}
-
-TEST(PredictSessionTest, InterleavedPushSizesMatchOneShotBatch) {
-  // Streamed results must equal the one-shot batch byte for byte under
-  // the new executor, including when the push cadence straddles the
-  // default shard grain (1, then 8, then 3, ...).
-  Dataset ds = SyntheticDataset(96, 3, 3, 6, 31);
-  auto model = Trainer().TrainUdt(ds);
-  ASSERT_TRUE(model.ok());
-  PredictSession session(model->Compile());
-
-  FlatBatchResult oneshot;
-  ASSERT_TRUE(session
-                  .PredictBatchInto(
-                      std::span<const UncertainTuple>(ds.tuples().data(),
-                                                      ds.tuples().size()),
-                      {.num_threads = 4}, &oneshot)
-                  .ok());
-
-  const int sizes[] = {1, 8, 3, 16, 1, 1, 64, 2};
-  int next = 0;
-  FlatBatchResult streamed;
-  std::vector<double> all_distributions;
-  std::vector<int> all_labels;
-  for (int size : sizes) {
-    for (int p = 0; p < size && next < ds.num_tuples(); ++p) {
-      session.Push(ds.tuple(next++));
-    }
-    session.Drain(&streamed);
-    all_distributions.insert(all_distributions.end(),
-                             streamed.distributions.begin(),
-                             streamed.distributions.end());
-    all_labels.insert(all_labels.end(), streamed.labels.begin(),
-                      streamed.labels.end());
-  }
-  ASSERT_EQ(next, ds.num_tuples());  // the cadence consumed every tuple
-  EXPECT_EQ(all_labels, oneshot.labels);
-  EXPECT_TRUE(BytesEqual(all_distributions, oneshot.distributions));
 }
 
 TEST(PredictSessionTest, SharedCompiledModelAcrossSessions) {

@@ -145,11 +145,8 @@ TEST(ModelRegistryTest, HoldsForestServables) {
             1u);
   ModelHandle handle = registry.Resolve("ensemble");
   ASSERT_NE(handle, nullptr);
-  EXPECT_TRUE(handle->servable.is_forest());
-  EXPECT_NE(handle->servable.forest(), nullptr);
-  EXPECT_EQ(handle->servable.model(), nullptr);
+  EXPECT_EQ(handle->servable.num_trees(), 3);
   EXPECT_EQ(handle->servable.num_classes(), 3);
-  EXPECT_NE(handle->servable.Describe().find("udt-forest"), std::string::npos);
 
   Dataset pool = NumericDataset(8, 2, 78);
   ServeSession session(handle->servable);

@@ -26,7 +26,9 @@
 #include "common/random.h"
 #include "eval/metrics.h"
 #include "pdf/pdf_builder.h"
+#include "serve/servable.h"
 #include "stream/adaptive_server.h"
+#include "stream/retrain_controller.h"
 
 namespace udt {
 namespace stream {
@@ -342,6 +344,46 @@ TEST(AdaptiveServerTest, ConcurrentClientsSeeNoTornOrDroppedResponses) {
           << "torn response: tuple " << r.tuple << " version " << r.version;
     }
   }
+}
+
+// A rolled-back candidate restarts the tuple-count schedule just as a
+// published one does: the schedule is due again only after schedule_every
+// more labels, instead of on every label after the rollback (which made
+// each later Feedback call retrain until one candidate published).
+TEST(RetrainScheduleTest, RollbackRestartsTheSchedule) {
+  serve::ModelRegistry registry;
+  RetrainPolicy policy;
+  policy.window_capacity = 80;
+  policy.min_window = 40;
+  policy.schedule_every = 80;
+  policy.holdout_fraction = 0.25;  // stride 4: i % 4 == 3 is held out
+  policy.max_regression = 0.02;
+  RetrainController controller(&registry, "prod",
+                               Schema::Numerical(2, {"neg", "pos"}),
+                               StreamTrainer(), policy);
+  ASSERT_TRUE(controller.Bootstrap(MakeStream(80, 71, false)).ok());
+
+  // Force the rollback: training positions of the deterministic split are
+  // label-flipped (the candidate learns the inversion), holdout positions
+  // keep true labels (the incumbent aces them).
+  const Dataset poisoned = MakeStream(80, 72, false);
+  for (int i = 0; i < poisoned.num_tuples(); ++i) {
+    UncertainTuple t = poisoned.tuple(i);
+    if (i % 4 != 3) t.label = 1 - t.label;
+    ASSERT_TRUE(controller.AddLabeled(std::move(t)).ok());
+  }
+  ASSERT_TRUE(controller.ScheduleDue());
+  auto report = controller.Retrain("schedule");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->rolled_back);
+  EXPECT_EQ(controller.labeled_since_attempt(), 0);
+
+  const Dataset more = MakeStream(80, 73, false);
+  for (int i = 0; i < policy.schedule_every; ++i) {
+    EXPECT_FALSE(controller.ScheduleDue()) << "after " << i << " labels";
+    ASSERT_TRUE(controller.AddLabeled(more.tuple(i)).ok());
+  }
+  EXPECT_TRUE(controller.ScheduleDue());
 }
 
 }  // namespace

@@ -241,7 +241,7 @@ TEST(RetrainControllerTest, RetrainPublishesAndScheduleResets) {
   EXPECT_EQ(report->reason, "schedule");
   EXPECT_GT(report->holdout_tuples, 0);
   EXPECT_EQ(controller.generations(), 2);
-  EXPECT_EQ(controller.labeled_since_publish(), 0);
+  EXPECT_EQ(controller.labeled_since_attempt(), 0);
   EXPECT_FALSE(controller.ScheduleDue());
   ASSERT_NE(registry.Resolve("prod"), nullptr);
   EXPECT_EQ(registry.Resolve("prod")->version, 2u);
