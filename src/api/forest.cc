@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/task_pool.h"
+#include "split/attribute_scan.h"
 #include "table/schema_io.h"
 #include "tree/classify.h"
 #include "tree/flat_tree.h"
@@ -338,13 +339,15 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
   std::vector<Status> errors(static_cast<size_t>(num_trees), Status::OK());
   std::vector<BuildStats> tree_stats(static_cast<size_t>(num_trees));
 
+  // One sort of the data serves every tree.
+  PresortedAxes axes;
   auto build_one = [&](int t) {
     const size_t ut = static_cast<size_t>(t);
     TreeBuilder builder(tree_configs[ut]);
     StatusOr<DecisionTree> tree =
-        config.bootstrap
-            ? builder.BuildWeighted(build_data, bags[ut], &tree_stats[ut])
-            : builder.Build(build_data, &tree_stats[ut]);
+        config.bootstrap ? builder.BuildWeighted(build_data, bags[ut],
+                                                 &tree_stats[ut], &axes)
+                         : builder.Build(build_data, &tree_stats[ut], &axes);
     if (tree.ok()) {
       built[ut].emplace(std::move(tree).value());
     } else {
@@ -355,11 +358,13 @@ StatusOr<ForestModel> ForestTrainer::Train(const TrainRequest& request) const {
   const int fresh = num_trees - carried;
   const int concurrency = TaskPool::EffectiveConcurrency(config.num_threads);
   if (concurrency <= 1 || fresh <= 1) {
+    if (fresh > 0) axes = PresortedAxes::Build(build_data, /*pool=*/nullptr);
     for (int t = carried; t < num_trees; ++t) build_one(t);
   } else {
     // The calling thread participates via Wait, so spawn one fewer worker.
     // Each task writes only its own slots; no further synchronisation.
     TaskPool pool(concurrency - 1);
+    axes = PresortedAxes::Build(build_data, &pool);
     TaskGroup group;
     for (int t = carried; t < num_trees; ++t) {
       pool.Submit(&group, [&build_one, t] { build_one(t); });

@@ -26,6 +26,7 @@
 #include "common/task_pool.h"
 #include "common/timer.h"
 #include "core/node_build.h"
+#include "split/attribute_scan.h"
 #include "split/fractional_tuple.h"
 #include "tree/post_prune.h"
 
@@ -192,17 +193,18 @@ void ScheduleSubtree(const BuildContext& ctx, SubtreeJob job,
 TreeBuilder::TreeBuilder(TreeConfig config) : config_(std::move(config)) {}
 
 StatusOr<DecisionTree> TreeBuilder::Build(const Dataset& train,
-                                          BuildStats* stats) const {
+                                          BuildStats* stats,
+                                          const PresortedAxes* axes) const {
   UDT_RETURN_NOT_OK(config_.Validate());
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
   }
-  return BuildFromRoot(train, MakeRootWorkingSet(train), stats);
+  return BuildFromRoot(train, MakeRootWorkingSet(train), axes, stats);
 }
 
 StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
     const Dataset& train, const std::vector<double>& weights,
-    BuildStats* stats) const {
+    BuildStats* stats, const PresortedAxes* axes) const {
   UDT_RETURN_NOT_OK(config_.Validate());
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
@@ -221,11 +223,12 @@ StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
     return Status::InvalidArgument("at least one weight must be positive");
   }
   return BuildFromRoot(train, MakeWeightedRootWorkingSet(train, weights),
-                       stats);
+                       axes, stats);
 }
 
 StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
                                                   WorkingSet root_set,
+                                                  const PresortedAxes* axes,
                                                   BuildStats* stats) const {
   BuildStats local_stats;
   BuildContext ctx;
@@ -244,13 +247,26 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
   const int concurrency =
       TaskPool::EffectiveConcurrency(config_.num_threads);
   std::unique_ptr<TreeNode> root;
+  // Unless the caller already has, every numerical attribute is sorted
+  // once, here (one pool task per attribute in parallel mode); each
+  // node's scans then filter the sorted axes in linear passes.
+  PresortedAxes own_axes;
+  auto presorted = [&](TaskPool* pool) {
+    if (axes == nullptr) {
+      own_axes = PresortedAxes::Build(train, pool);
+      axes = &own_axes;
+    }
+    return axes;
+  };
   if (concurrency <= 1) {
+    ctx.node.axes = presorted(/*pool=*/nullptr);
     root = BuildSerial(ctx, root_set, /*depth=*/0, &used_categorical,
                        kRootNodeToken, ctx.stats);
   } else {
     // The calling thread participates via Wait, so spawn one fewer worker
     // than the requested concurrency.
     TaskPool pool(concurrency - 1);
+    ctx.node.axes = presorted(&pool);
     Mutex stats_mu;
     ctx.pool = &pool;
     ctx.stats_mu = &stats_mu;

@@ -47,18 +47,20 @@ class TreeBuilder {
   explicit TreeBuilder(TreeConfig config);
 
   // Trains a tree on `train`. Fails on an empty data set or invalid
-  // config. `stats` may be null.
-  StatusOr<DecisionTree> Build(const Dataset& train,
-                               BuildStats* stats) const;
+  // config. `stats` may be null. `axes`, when non-null, must be
+  // PresortedAxes::Build(train, ...): the trees of one forest share one
+  // sort of their data that way. Null sorts the attributes in this call.
+  StatusOr<DecisionTree> Build(const Dataset& train, BuildStats* stats,
+                               const PresortedAxes* axes = nullptr) const;
 
   // Trains a tree on `train` with per-tuple root weights — the bagged-
   // ensemble entry point (api/forest.h): weights[i] is tuple i's bootstrap
   // multiplicity, and tuples with weight <= 0 take no part in the build.
   // Requires one finite non-negative weight per tuple, at least one of
-  // them positive. `stats` may be null.
-  StatusOr<DecisionTree> BuildWeighted(const Dataset& train,
-                                       const std::vector<double>& weights,
-                                       BuildStats* stats) const;
+  // them positive. `stats` and `axes` are as for Build.
+  StatusOr<DecisionTree> BuildWeighted(
+      const Dataset& train, const std::vector<double>& weights,
+      BuildStats* stats, const PresortedAxes* axes = nullptr) const;
 
   const TreeConfig& config() const { return config_; }
 
@@ -67,6 +69,7 @@ class TreeBuilder {
   // working set, serial or pooled per the config, then post-prunes.
   StatusOr<DecisionTree> BuildFromRoot(const Dataset& train,
                                        WorkingSet root_set,
+                                       const PresortedAxes* axes,
                                        BuildStats* stats) const;
 
   TreeConfig config_;

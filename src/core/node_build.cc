@@ -116,7 +116,7 @@ NodeDecision DecideNode(const NodeBuildContext& ctx, const WorkingSet& set,
   // Best numerical split; the per-attribute scans run as `scan_pool` tasks
   // when the scheduler hands one in.
   SplitCandidate best = ctx.finder->FindBestSplit(
-      data, set, scorer, options, &stats->counters, scan_pool);
+      data, set, scorer, options, &stats->counters, scan_pool, ctx.axes);
 
   // Categorical candidates (Section 7.2); an attribute used by an ancestor
   // cannot yield further gain and is skipped.

@@ -51,6 +51,10 @@ struct NodeBuildContext {
   const TreeConfig* config = nullptr;
   const SplitFinder* finder = nullptr;
   SplitOptions split_options;
+  // The numerical attributes of `data`, sorted once per build (or once
+  // per forest) and read by every node's split search, concurrently in
+  // the parallel scheduler.
+  const PresortedAxes* axes = nullptr;
 };
 
 // Per-node identity tokens: a deterministic function of the node's path

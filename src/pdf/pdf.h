@@ -63,10 +63,12 @@ class SampledPdf {
   // P(X <= z), in O(log s).
   double CdfAtOrBelow(double z) const;
 
-  // Raw array views for the branchless batch kernels (pdf/pdf_kernels.h):
-  // num_points() ascending unique sample points and their prefix-sum
-  // cumulative masses (cumulative_data()[num_points()-1] is exactly 1.0).
+  // Raw array views for the branchless batch kernels (pdf/pdf_kernels.h)
+  // and the split scans: num_points() ascending unique sample points,
+  // their masses and their prefix-sum cumulative masses
+  // (cumulative_data()[num_points()-1] is exactly 1.0).
   const double* points_data() const { return points_.data(); }
+  const double* masses_data() const { return masses_.data(); }
   const double* cumulative_data() const { return cumulative_.data(); }
 
   // P(lo < X <= hi) = F(hi) - F(lo). Returns 0 when hi <= lo.

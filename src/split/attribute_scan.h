@@ -1,19 +1,30 @@
 // AttributeScan: the per-(node, attribute) view all split finders share.
 //
-// It merges the effective sample points of every fractional tuple in the
-// working set into one sorted axis and precomputes, for each position, the
-// cumulative per-class probability mass (the paper's tuple-count function
-// Phi_{c,j}, Definition 6). With it:
+// Each numerical attribute is sorted once per tree build into a presorted
+// axis (PresortedAxes): every sample point of every data-set tuple,
+// ordered by (x, tuple index, point index). A node's scan walks that axis
+// once, keeping the points whose tuple is in the working set and whose x
+// lies in the tuple's (lo, hi] constraint, then accumulates the kept
+// points' renormalised masses, in axis order, into the cumulative
+// per-class probability mass of each distinct x (the paper's tuple-count
+// function Phi_{c,j}, Definition 6). No scan sorts anything. With it:
 //   * candidate split points  = the positions (all but the last),
 //   * left/right class counts = O(#classes) lookups,
 //   * interval statistics (n_c, k_c, m_c) for the pruning bounds
 //                             = two lookups per class,
-//   * interval end points Q_j = tuple support boundaries mapped to
-//     positions.
+//   * interval end points Q_j = the positions of each tuple's first and
+//     last kept point, recorded while accumulating.
+//
+// Tie order is canonical: the masses of points with equal x are summed in
+// (tuple index, point index) order, which the presort key fixes. A scan's
+// bytes therefore depend on the data alone, not on the order in which a
+// standard library's sort leaves equal keys.
 
 #ifndef UDT_SPLIT_ATTRIBUTE_SCAN_H_
 #define UDT_SPLIT_ATTRIBUTE_SCAN_H_
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "split/fractional_tuple.h"
@@ -21,16 +32,98 @@
 
 namespace udt {
 
+class TaskPool;  // common/task_pool.h
+
+// One numerical attribute's sample points over the whole data set,
+// sorted by (x, tuple index, point index), as structure-of-arrays. The
+// point index is not stored: a tuple's points appear in ascending order,
+// so the k-th point a scan keeps of a tuple is the k-th point of its pdf
+// inside the tuple's constraint, and its mass is read from the pdf.
+struct PresortedAxis {
+  std::vector<double> x;
+  std::vector<int32_t> tuple;  // data-set tuple index
+
+  size_t size() const { return x.size(); }
+};
+
+// The numerical attributes of a data set, each presorted. Built at the
+// start of a tree build (or once for all trees of a forest) and shared
+// read-only by every node and pool task. Each attribute is a separate
+// allocation: a single block for all of them measured a higher peak RSS,
+// because freeing a block that large raises glibc's mmap threshold and
+// the scans' tables then stay resident in the heap.
+class PresortedAxes {
+ public:
+  PresortedAxes() = default;
+
+  // Presorts every numerical attribute of `data`, one pool task per
+  // attribute when `pool` is non-null.
+  static PresortedAxes Build(const Dataset& data, TaskPool* pool);
+
+  // Presorts `attribute` alone (which must be numerical).
+  static PresortedAxes BuildOne(const Dataset& data, int attribute);
+
+  // The sorted points of `attribute`; empty for a categorical attribute
+  // or one not presorted.
+  const PresortedAxis& axis(int attribute) const {
+    return axes_[static_cast<size_t>(attribute)];
+  }
+
+ private:
+  // Sorts the attributes j with want[j] set; the others stay empty.
+  static PresortedAxes Presort(const Dataset& data,
+                               const std::vector<bool>& want,
+                               TaskPool* pool);
+
+  std::vector<PresortedAxis> axes_;  // one per attribute
+};
+
+// Per-task scratch of AttributeScan::Build, reused across scans. Holds no
+// state between scans: every entry a scan touches is reset before it
+// returns.
+struct ScanScratch {
+  // A working-set tuple's (lo, hi] constraint. Tuples outside the working
+  // set, or with no mass under their constraint, keep the empty range
+  // (+inf, -inf], which no x passes.
+  struct Range {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+  };
+  // The rest of a working-set tuple's view of the attribute.
+  struct TupleSlot {
+    double scale = 0.0;  // weight / constrained mass
+    // The masses of the tuple's points inside its constraint, consumed
+    // in order as the scan keeps them.
+    const double* masses = nullptr;
+    int cls = -1;        // label; -1 = not in the working set
+    int first_pos = -1;  // positions of the first and last kept point
+    int last_pos = -1;
+  };
+  // Both indexed by data-set tuple index.
+  std::vector<Range> ranges;
+  std::vector<TupleSlot> slots;
+  std::vector<int> touched;          // tuple indices whose entries are set
+  std::vector<uint32_t> kept;        // axis indices of the kept points
+  std::vector<double> running;       // per-class running mass
+  std::vector<uint8_t> is_endpoint;  // per position
+};
+
 // Built once per (node, numerical attribute); immutable afterwards.
 class AttributeScan {
  public:
   // An empty scan (no positions); Build() produces the real thing.
   AttributeScan() = default;
 
-  // Builds the scan for `attribute` over `set`. Tuples contribute their
-  // sample points restricted to their (lo, hi] constraint, with masses
-  // scaled by weight / constrained-mass (the lazily-renormalised truncated
-  // pdf of Section 3.2).
+  // Builds the scan of `set` over `axis`, the presorted attribute. Tuples
+  // contribute their sample points restricted to their (lo, hi]
+  // constraint, with masses scaled by weight / constrained-mass (the
+  // lazily-renormalised truncated pdf of Section 3.2). A tuple index may
+  // appear at most once in `set`.
+  static AttributeScan Build(const Dataset& data, const WorkingSet& set,
+                             int attribute, const PresortedAxis& axis,
+                             int num_classes, ScanScratch* scratch);
+
+  // As above, presorting `attribute` on the spot.
   static AttributeScan Build(const Dataset& data, const WorkingSet& set,
                              int attribute, int num_classes);
 

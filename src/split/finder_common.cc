@@ -11,14 +11,20 @@ namespace split_internal {
 AttributeContext BuildContextForAttribute(const Dataset& data,
                                           const WorkingSet& set,
                                           int attribute,
+                                          const PresortedAxes* axes,
                                           const SplitOptions& options,
-                                          int num_classes) {
+                                          int num_classes,
+                                          EvalBuffers* buffers) {
   AttributeContext ctx;
   ctx.attribute = attribute;
   if (data.schema().attribute(attribute).kind != AttributeKind::kNumerical) {
     return ctx;  // empty scan: caller skips it
   }
-  ctx.scan = AttributeScan::Build(data, set, attribute, num_classes);
+  ctx.scan = axes != nullptr
+                 ? AttributeScan::Build(data, set, attribute,
+                                        axes->axis(attribute), num_classes,
+                                        &buffers->scan)
+                 : AttributeScan::Build(data, set, attribute, num_classes);
   if (ctx.scan.num_positions() < 2) {
     ctx.scan = AttributeScan();  // no valid binary split
     return ctx;

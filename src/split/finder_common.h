@@ -37,23 +37,29 @@ struct AttributeContext {
   std::vector<EndpointInterval> intervals;
 };
 
-// Scratch buffers reused across candidate evaluations.
+// Scratch buffers reused across scans and candidate evaluations. Each
+// task owns one; nothing in it outlives a single call.
 struct EvalBuffers {
+  ScanScratch scan;
   std::vector<double> left;
   std::vector<double> right;
   IntervalMassStats stats;
 };
 
-// Builds the context for one numerical attribute. Returns a context with
-// an empty scan when the attribute admits no candidate (< 2 distinct
-// positions) or is categorical. Honors the percentile-end-point option: in
-// that mode every interval is conservatively classified heterogeneous (the
-// concavity theorems assume true support boundaries).
+// Builds the context for one numerical attribute from the presorted
+// `axes` (null: presort the attribute on the spot), using the scan
+// scratch in `buffers`. Returns a context with an empty scan when the
+// attribute admits no candidate (< 2 distinct positions) or is
+// categorical. Honors the percentile-end-point option: in that mode every
+// interval is conservatively classified heterogeneous (the concavity
+// theorems assume true support boundaries).
 AttributeContext BuildContextForAttribute(const Dataset& data,
                                           const WorkingSet& set,
                                           int attribute,
+                                          const PresortedAxes* axes,
                                           const SplitOptions& options,
-                                          int num_classes);
+                                          int num_classes,
+                                          EvalBuffers* buffers);
 
 // Scores the split at position `idx` of `ctx` and merges it into `best`.
 // Skips (without counting) candidates that leave either side with less

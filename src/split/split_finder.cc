@@ -12,6 +12,8 @@
 namespace udt {
 
 namespace {
+using split_internal::EvalBuffers;
+
 // Scores within this distance are treated as tied and broken by attribute,
 // then split point, keeping every finder's choice deterministic.
 constexpr double kScoreTieEpsilon = 1e-12;
@@ -23,21 +25,25 @@ void MergeCandidate(const SplitCandidate& candidate, SplitCandidate* best) {
   }
 }
 
-// Runs fn(0), ..., fn(n-1): in index order when `pool` is null, through
-// the pool's shared ParallelFor primitive otherwise (the same executor
-// the serving sessions run on — one parallel-loop mechanism for training
-// and serving). The callbacks must write to disjoint state; the fixed-
-// order reductions after each loop keep the result schedule-independent.
-void ForEachAttribute(TaskPool* pool, int n,
-                      const std::function<void(int)>& fn) {
+// Runs fn(0, .), ..., fn(n-1, .): in index order when `pool` is null,
+// through the pool's shared ParallelFor primitive otherwise (the same
+// executor the serving sessions run on — one parallel-loop mechanism for
+// training and serving). Each loop slot passes its own entry of `buffers`
+// (one per slot), so the scratch is reused across the attributes a slot
+// runs and never shared. The callbacks must write to disjoint state; the
+// fixed-order reductions after each loop keep the result
+// schedule-independent.
+void ForEachAttribute(TaskPool* pool, int n, std::vector<EvalBuffers>* buffers,
+                      const std::function<void(int, EvalBuffers*)>& fn) {
   if (pool == nullptr || n <= 1) {
-    for (int j = 0; j < n; ++j) fn(j);
+    for (int j = 0; j < n; ++j) fn(j, &buffers->front());
     return;
   }
   pool->ParallelFor(static_cast<size_t>(n), /*grain=*/1,
-                    [&fn](int /*slot*/, size_t begin, size_t end) {
+                    [&fn, buffers](int slot, size_t begin, size_t end) {
                       for (size_t j = begin; j < end; ++j) {
-                        fn(static_cast<int>(j));
+                        fn(static_cast<int>(j),
+                           &(*buffers)[static_cast<size_t>(slot)]);
                       }
                     });
 }
@@ -86,7 +92,8 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
                                           const SplitScorer& scorer,
                                           const SplitOptions& options,
                                           SplitCounters* counters,
-                                          TaskPool* pool) const {
+                                          TaskPool* pool,
+                                          const PresortedAxes* axes) const {
   const int num_attributes = data.num_attributes();
   const int num_classes = data.num_classes();
   const bool seeded = NeedsGlobalSeed();
@@ -96,12 +103,12 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
     // single scan alive — the paper's low-memory regime.
     SplitCandidate best;
     SplitCandidate no_seed;
-    split_internal::EvalBuffers buffers;
+    EvalBuffers buffers;
     for (int j = 0; j < num_attributes; ++j) {
       if (!options.AttributeAllowed(j)) continue;
       split_internal::AttributeContext ctx =
-          split_internal::BuildContextForAttribute(data, set, j, options,
-                                                   num_classes);
+          split_internal::BuildContextForAttribute(
+              data, set, j, axes, options, num_classes, &buffers);
       if (ctx.scan.empty()) continue;
       MergeCandidate(
           SearchAttribute(ctx, scorer, options, no_seed, counters, &buffers),
@@ -119,40 +126,42 @@ SplitCandidate SplitFinder::FindBestSplit(const Dataset& data,
     SplitCounters counters;
   };
   std::vector<AttributeSlot> slots(static_cast<size_t>(num_attributes));
+  std::vector<EvalBuffers> buffers(
+      pool != nullptr ? static_cast<size_t>(pool->num_slots()) : 1);
 
-  ForEachAttribute(pool, num_attributes, [&](int j) {
+  auto scan_attribute = [&](int j, EvalBuffers* scratch) {
     if (!options.AttributeAllowed(j)) return;  // slot stays empty
     AttributeSlot& slot = slots[static_cast<size_t>(j)];
-    slot.ctx = split_internal::BuildContextForAttribute(data, set, j, options,
-                                                        num_classes);
+    slot.ctx = split_internal::BuildContextForAttribute(
+        data, set, j, axes, options, num_classes, scratch);
     if (slot.ctx.scan.empty()) return;
-    split_internal::EvalBuffers buffers;
     if (seeded) {
       slot.seed =
-          SeedAttribute(slot.ctx, scorer, options, &slot.counters, &buffers);
+          SeedAttribute(slot.ctx, scorer, options, &slot.counters, scratch);
     } else {
       // Local finders need no cross-attribute phase: search immediately
       // and release the scan.
       SplitCandidate no_seed;
       slot.best = SearchAttribute(slot.ctx, scorer, options, no_seed,
-                                  &slot.counters, &buffers);
+                                  &slot.counters, scratch);
       slot.ctx = split_internal::AttributeContext();
     }
-  });
+  };
+  ForEachAttribute(pool, num_attributes, &buffers, scan_attribute);
 
   SplitCandidate global_seed;
   if (seeded) {
     for (const AttributeSlot& slot : slots) {
       MergeCandidate(slot.seed, &global_seed);
     }
-    ForEachAttribute(pool, num_attributes, [&](int j) {
+    auto search_attribute = [&](int j, EvalBuffers* scratch) {
       AttributeSlot& slot = slots[static_cast<size_t>(j)];
       if (slot.ctx.scan.empty()) return;
-      split_internal::EvalBuffers buffers;
       slot.best = SearchAttribute(slot.ctx, scorer, options, global_seed,
-                                  &slot.counters, &buffers);
+                                  &slot.counters, scratch);
       slot.ctx = split_internal::AttributeContext();
-    });
+    };
+    ForEachAttribute(pool, num_attributes, &buffers, search_attribute);
   }
 
   SplitCandidate best = global_seed;

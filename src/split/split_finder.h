@@ -28,7 +28,8 @@
 
 namespace udt {
 
-class TaskPool;  // common/task_pool.h
+class TaskPool;       // common/task_pool.h
+class PresortedAxes;  // split/attribute_scan.h
 
 namespace split_internal {
 struct AttributeContext;
@@ -133,12 +134,14 @@ class SplitFinder {
   // is `set`. `scorer` carries the node's measure and parent counts.
   // Returns an invalid candidate when no attribute admits a valid split.
   // `counters` may be null. When `pool` is non-null the per-attribute
-  // phases run as pool tasks; the result does not depend on it.
-  SplitCandidate FindBestSplit(const Dataset& data, const WorkingSet& set,
-                               const SplitScorer& scorer,
-                               const SplitOptions& options,
-                               SplitCounters* counters,
-                               TaskPool* pool = nullptr) const;
+  // phases run as pool tasks; the result does not depend on it. `axes`
+  // are the presorted attributes of `data`, shared by every node of a
+  // build; when null, each scanned attribute is presorted on the spot.
+  SplitCandidate FindBestSplit(
+      const Dataset& data, const WorkingSet& set, const SplitScorer& scorer,
+      const SplitOptions& options, SplitCounters* counters,
+      TaskPool* pool = nullptr,
+      const PresortedAxes* axes = nullptr) const;
 
  protected:
   // True for finders whose pruning threshold spans all attributes (GP/ES);

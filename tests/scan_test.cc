@@ -1,11 +1,19 @@
 // Tests for AttributeScan and interval segmentation: merged candidate axis,
 // cumulative class masses, end points and empty/homogeneous/heterogeneous
-// classification (Definitions 2-4).
+// classification (Definitions 2-4), and the scan's byte-equality with a
+// brute-force gather-sort-accumulate reference on randomized working sets.
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "pdf/pdf_builder.h"
 #include "split/attribute_scan.h"
 #include "split/intervals.h"
 
@@ -177,6 +185,267 @@ TEST(IntervalTest, NumInterior) {
   interval.a_idx = 3;
   interval.b_idx = 7;
   EXPECT_EQ(interval.num_interior(), 3);
+}
+
+// ---------------------------------------------------------------------
+// Equivalence with a brute-force reference.
+
+// What a scan must produce, computed the slow way: gather every in-range
+// point, stable-sort by (x, tuple, point), accumulate in that order.
+struct ReferenceScan {
+  std::vector<double> xs;
+  std::vector<double> cumulative;  // [position][class]
+  std::vector<double> class_totals;
+  std::vector<int> endpoints;
+};
+
+ReferenceScan BruteForceScan(const Dataset& data, const WorkingSet& set,
+                             int attribute, int num_classes) {
+  struct Point {
+    double x;
+    int tuple;
+    int point;
+    int cls;
+    double mass;
+  };
+  const size_t j = static_cast<size_t>(attribute);
+  std::vector<Point> points;
+  std::vector<double> bounds;  // first and last kept x of every tuple
+  for (const FractionalTuple& ft : set) {
+    const UncertainTuple& tuple = data.tuple(ft.tuple_index);
+    const SampledPdf& pdf = tuple.values[j].pdf();
+    const double constrained = ConstrainedMass(pdf, ft.lo[j], ft.hi[j]);
+    if (constrained <= 0.0) continue;
+    const double scale = ft.weight / constrained;
+    const size_t before = points.size();
+    for (int p = 0; p < pdf.num_points(); ++p) {
+      const double x = pdf.point(p);
+      if (x <= ft.lo[j] || x > ft.hi[j]) continue;
+      points.push_back(
+          Point{x, ft.tuple_index, p, tuple.label, pdf.mass(p) * scale});
+    }
+    if (points.size() > before) {
+      bounds.push_back(points[before].x);
+      bounds.push_back(points.back().x);
+    }
+  }
+  std::stable_sort(points.begin(), points.end(),
+                   [](const Point& a, const Point& b) {
+                     return std::tie(a.x, a.tuple, a.point) <
+                            std::tie(b.x, b.tuple, b.point);
+                   });
+  ReferenceScan ref;
+  ref.class_totals.assign(static_cast<size_t>(num_classes), 0.0);
+  for (size_t i = 0; i < points.size(); ++i) {
+    ref.class_totals[static_cast<size_t>(points[i].cls)] += points[i].mass;
+    if (i + 1 == points.size() || points[i + 1].x != points[i].x) {
+      ref.xs.push_back(points[i].x);
+      ref.cumulative.insert(ref.cumulative.end(), ref.class_totals.begin(),
+                            ref.class_totals.end());
+    }
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  for (double b : bounds) {
+    ref.endpoints.push_back(static_cast<int>(
+        std::lower_bound(ref.xs.begin(), ref.xs.end(), b) - ref.xs.begin()));
+  }
+  return ref;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Byte-equality of a scan with the reference. Mismatching doubles are
+// counted, so a failure reports once per scan.
+void ExpectSameBytes(const AttributeScan& scan, const ReferenceScan& ref,
+                     int num_classes, const std::string& what) {
+  ASSERT_EQ(static_cast<size_t>(scan.num_positions()), ref.xs.size()) << what;
+  int mismatches = 0;
+  for (int i = 0; i < scan.num_positions(); ++i) {
+    mismatches += Bits(scan.x(i)) != Bits(ref.xs[static_cast<size_t>(i)]);
+    for (int c = 0; c < num_classes; ++c) {
+      mismatches +=
+          Bits(scan.CumulativeMass(i, c)) !=
+          Bits(ref.cumulative[static_cast<size_t>(i * num_classes + c)]);
+    }
+  }
+  for (int c = 0; c < num_classes; ++c) {
+    mismatches += Bits(scan.class_totals()[static_cast<size_t>(c)]) !=
+                  Bits(ref.class_totals[static_cast<size_t>(c)]);
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+  EXPECT_EQ(scan.endpoint_positions(), ref.endpoints) << what;
+}
+
+// Uncertain data of three classes. kContinuous draws Gaussian/uniform
+// error pdfs around continuous centres (ties only by accident); kGrid puts
+// every pdf on a subset of the integers 0..12, so x ties across tuples are
+// the rule.
+enum class Values { kContinuous, kGrid };
+
+Dataset RandomDataset(Values values, int tuples, int attributes,
+                      uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds(Schema::Numerical(attributes, {"a", "b", "c"}));
+  for (int i = 0; i < tuples; ++i) {
+    UncertainTuple t;
+    t.label = rng.UniformInt(3);
+    for (int j = 0; j < attributes; ++j) {
+      if (values == Values::kContinuous) {
+        const double centre = rng.Gaussian(t.label, 1.0);
+        const double width = rng.Uniform(0.5, 2.0);
+        const int s = rng.UniformIntRange(1, 12);
+        StatusOr<SampledPdf> pdf = rng.Bernoulli(0.5)
+                                       ? MakeGaussianErrorPdf(centre, width, s)
+                                       : MakeUniformErrorPdf(centre, width, s);
+        t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+      } else {
+        std::vector<double> xs;
+        std::vector<double> masses;
+        for (int x = 0; x <= 12; ++x) {
+          if (rng.Bernoulli(0.4)) {
+            xs.push_back(x);
+            masses.push_back(rng.Uniform(0.1, 1.0));
+          }
+        }
+        if (xs.empty()) {
+          xs.push_back(rng.UniformInt(13));
+          masses.push_back(1.0);
+        }
+        StatusOr<SampledPdf> pdf =
+            SampledPdf::Create(std::move(xs), std::move(masses));
+        t.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+      }
+    }
+    EXPECT_TRUE(ds.AddTuple(t).ok());
+  }
+  return ds;
+}
+
+// `root` and the fractional sets of a random tree grown from it by real
+// PartitionWorkingSet calls: every set is split at a sample point of one of
+// its tuples, down to `depth` levels.
+std::vector<WorkingSet> PartitionedSets(const Dataset& ds, WorkingSet root,
+                                        int depth, Rng* rng) {
+  std::vector<WorkingSet> sets;
+  std::vector<std::pair<WorkingSet, int>> pending;
+  pending.emplace_back(std::move(root), 0);
+  while (!pending.empty()) {
+    auto [set, level] = std::move(pending.back());
+    pending.pop_back();
+    if (!set.empty() && level < depth) {
+      const int attribute = rng->UniformInt(ds.num_attributes());
+      const FractionalTuple& pivot = set[static_cast<size_t>(
+          rng->UniformInt(static_cast<int>(set.size())))];
+      const SampledPdf& pdf = ds.tuple(pivot.tuple_index)
+                                  .values[static_cast<size_t>(attribute)]
+                                  .pdf();
+      const double split = pdf.point(rng->UniformInt(pdf.num_points()));
+      WorkingSet left;
+      WorkingSet right;
+      PartitionWorkingSet(ds, set, attribute, split, &left, &right);
+      pending.emplace_back(std::move(left), level + 1);
+      pending.emplace_back(std::move(right), level + 1);
+    }
+    sets.push_back(std::move(set));
+  }
+  return sets;
+}
+
+// Scans every set on every attribute two ways, against one shared
+// presort with one reused scratch (the builder's path) and with the
+// presort-on-the-spot overload, and compares both with the reference.
+void CheckAgainstReference(const Dataset& ds,
+                           const std::vector<WorkingSet>& sets,
+                           const std::string& name) {
+  const int num_classes = ds.num_classes();
+  const PresortedAxes axes = PresortedAxes::Build(ds, /*pool=*/nullptr);
+  ScanScratch scratch;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    for (int j = 0; j < ds.num_attributes(); ++j) {
+      const std::string what =
+          name + " set " + std::to_string(i) + " attribute " +
+          std::to_string(j);
+      const ReferenceScan ref = BruteForceScan(ds, sets[i], j, num_classes);
+      ExpectSameBytes(AttributeScan::Build(ds, sets[i], j, axes.axis(j),
+                                           num_classes, &scratch),
+                      ref, num_classes, what + " (shared axes)");
+      ExpectSameBytes(AttributeScan::Build(ds, sets[i], j, num_classes), ref,
+                      num_classes, what + " (presorted on the spot)");
+    }
+  }
+}
+
+TEST(ScanEquivalenceTest, FractionalSetsFromPartitioning) {
+  for (uint64_t seed : {1, 2, 3}) {
+    for (Values values : {Values::kContinuous, Values::kGrid}) {
+      Dataset ds = RandomDataset(values, 40, 3, seed);
+      Rng rng(seed + 100);
+      CheckAgainstReference(
+          ds, PartitionedSets(ds, MakeRootWorkingSet(ds), 4, &rng),
+          "seed " + std::to_string(seed) +
+              (values == Values::kGrid ? " grid" : " continuous"));
+    }
+  }
+}
+
+TEST(ScanEquivalenceTest, BaggedRootsWithZeroWeights) {
+  for (uint64_t seed : {4, 5}) {
+    for (Values values : {Values::kContinuous, Values::kGrid}) {
+      Dataset ds = RandomDataset(values, 40, 2, seed);
+      Rng rng(seed + 100);
+      // Bootstrap multiplicities: about a third of the tuples never drawn.
+      std::vector<double> weights;
+      for (int i = 0; i < ds.num_tuples(); ++i) {
+        weights.push_back(static_cast<double>(rng.UniformInt(3)));
+      }
+      weights[0] = 1.0;
+      CheckAgainstReference(
+          ds,
+          PartitionedSets(ds, MakeWeightedRootWorkingSet(ds, weights), 3,
+                          &rng),
+          "bag seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(ScanEquivalenceTest, IntegerGridTies) {
+  Dataset ds = RandomDataset(Values::kGrid, 60, 2, 6);
+  // Every x is one of 13 integers, so most positions merge several tuples.
+  const PresortedAxes axes = PresortedAxes::Build(ds, /*pool=*/nullptr);
+  int points = 0;
+  for (int i = 0; i < ds.num_tuples(); ++i) {
+    points += ds.tuple(i).values[0].pdf().num_points();
+  }
+  EXPECT_EQ(static_cast<int>(axes.axis(0).size()), points);
+  EXPECT_LE(AttributeScan::Build(ds, MakeRootWorkingSet(ds), 0, 3)
+                .num_positions(),
+            13);
+  Rng rng(106);
+  CheckAgainstReference(ds,
+                        PartitionedSets(ds, MakeRootWorkingSet(ds), 4, &rng),
+                        "grid");
+}
+
+TEST(ScanEquivalenceTest, PointMassData) {
+  // The AVG view: every pdf collapses to a point at its mean. Grid means
+  // repeat, so point masses tie too.
+  for (Values values : {Values::kContinuous, Values::kGrid}) {
+    Dataset ds = RandomDataset(values, 50, 2, 7).ToMeans();
+    Rng rng(107);
+    CheckAgainstReference(
+        ds, PartitionedSets(ds, MakeRootWorkingSet(ds), 4, &rng),
+        values == Values::kGrid ? "grid means" : "continuous means");
+  }
+}
+
+TEST(ScanEquivalenceTest, ConstraintWithoutMassContributesNothing) {
+  Dataset ds = RandomDataset(Values::kGrid, 10, 1, 8);
+  WorkingSet set = MakeRootWorkingSet(ds);
+  // (5.5, 5.75] holds no integer: tuple 0 drops out of the scan.
+  set[0].lo[0] = 5.5;
+  set[0].hi[0] = 5.75;
+  CheckAgainstReference(ds, {set}, "massless constraint");
 }
 
 }  // namespace

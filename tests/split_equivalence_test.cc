@@ -10,8 +10,11 @@
 #include "common/random.h"
 #include "common/task_pool.h"
 #include "core/builder.h"
+#include "datagen/synthetic.h"
 #include "pdf/pdf_builder.h"
+#include "split/attribute_scan.h"
 #include "split/split_finder.h"
+#include "table/uncertainty_injector.h"
 #include "tree/tree_io.h"
 
 namespace udt {
@@ -297,6 +300,109 @@ TEST(SplitEquivalencePointTest, AllFindersAgreeOnPointData) {
     EXPECT_DOUBLE_EQ(best.split_point, reference.split_point);
   }
 }
+
+// The same claim on generated data rather than fixtures: seeded datagen
+// point sets run through the Section 4.3 injector under both error
+// models and two values each of s and w. At the root and at every
+// fractional node of the exhaustive search's own tree (three levels),
+// every pruned finder must return the exhaustive UDT score — searching
+// the build's shared presorted axes or presorting on the spot.
+struct GeneratedCase {
+  ErrorModel error_model;
+  int s;
+  double w;
+  uint64_t seed;
+};
+
+class GeneratedDataEquivalenceTest
+    : public ::testing::TestWithParam<GeneratedCase> {};
+
+TEST_P(GeneratedDataEquivalenceTest, PrunedFindersMatchExhaustiveScore) {
+  const GeneratedCase& param = GetParam();
+  datagen::SyntheticConfig config;
+  config.num_tuples = 48;
+  config.num_attributes = 3;
+  config.num_classes = 3;
+  // Uniform error is the paper's model for integer domains; their grid
+  // values bring ties in x across tuples.
+  config.integer_domain = param.error_model == ErrorModel::kUniform;
+  config.integer_levels = 20;
+  config.seed = param.seed;
+  UncertaintyOptions options;
+  options.error_model = param.error_model;
+  options.samples_per_pdf = param.s;
+  options.width_fraction = param.w;
+  StatusOr<Dataset> data =
+      InjectUncertainty(datagen::GenerateSynthetic(config), options);
+  ASSERT_TRUE(data.ok());
+  const Dataset& ds = *data;
+  const PresortedAxes axes = PresortedAxes::Build(ds, /*pool=*/nullptr);
+
+  std::unique_ptr<SplitFinder> exhaustive_finder =
+      MakeSplitFinder(SplitAlgorithm::kUdt);
+  std::vector<std::pair<WorkingSet, int>> pending;
+  pending.emplace_back(MakeRootWorkingSet(ds), 0);
+  int nodes = 0;
+  while (!pending.empty()) {
+    auto [set, depth] = std::move(pending.back());
+    pending.pop_back();
+    SplitScorer scorer(DispersionMeasure::kEntropy,
+                       ClassCounts(ds, set, ds.num_classes()));
+    SplitOptions split_options;
+    SplitCandidate exhaustive = exhaustive_finder->FindBestSplit(
+        ds, set, scorer, split_options, nullptr);
+    ++nodes;
+    for (SplitAlgorithm algorithm :
+         {SplitAlgorithm::kUdtBp, SplitAlgorithm::kUdtLp,
+          SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
+      std::unique_ptr<SplitFinder> finder = MakeSplitFinder(algorithm);
+      const PresortedAxes* const presorts[] = {&axes, nullptr};
+      for (const PresortedAxes* shared : presorts) {
+        SplitCandidate pruned = finder->FindBestSplit(
+            ds, set, scorer, split_options, nullptr, nullptr, shared);
+        ASSERT_EQ(pruned.valid, exhaustive.valid)
+            << SplitAlgorithmToString(algorithm) << " at depth " << depth;
+        if (exhaustive.valid) {
+          EXPECT_NEAR(pruned.score, exhaustive.score, 1e-9)
+              << SplitAlgorithmToString(algorithm) << " at depth " << depth;
+        }
+      }
+    }
+    if (exhaustive.valid && depth < 3) {
+      WorkingSet left;
+      WorkingSet right;
+      PartitionWorkingSet(ds, set, exhaustive.attribute,
+                          exhaustive.split_point, &left, &right);
+      if (!left.empty()) pending.emplace_back(std::move(left), depth + 1);
+      if (!right.empty()) pending.emplace_back(std::move(right), depth + 1);
+    }
+  }
+  EXPECT_GT(nodes, 1);
+}
+
+std::vector<GeneratedCase> GeneratedCases() {
+  std::vector<GeneratedCase> cases;
+  for (ErrorModel model : {ErrorModel::kGaussian, ErrorModel::kUniform}) {
+    for (int s : {10, 40}) {
+      for (double w : {0.05, 0.20}) {
+        for (uint64_t seed : {1, 2}) {
+          cases.push_back({model, s, w, seed});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Generated, GeneratedDataEquivalenceTest,
+    ::testing::ValuesIn(GeneratedCases()),
+    [](const ::testing::TestParamInfo<GeneratedCase>& info) {
+      return std::string(ErrorModelToString(info.param.error_model)) + "_s" +
+             std::to_string(info.param.s) + "_w" +
+             std::to_string(static_cast<int>(info.param.w * 100)) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 }  // namespace
 }  // namespace udt
