@@ -199,6 +199,7 @@ StatusOr<DecisionTree> TreeBuilder::Build(const Dataset& train,
   if (train.empty()) {
     return Status::InvalidArgument("cannot build a tree on an empty data set");
   }
+  if (axes != nullptr) UDT_RETURN_NOT_OK(axes->CheckShape(train));
   return BuildFromRoot(train, MakeRootWorkingSet(train), axes, stats);
 }
 
@@ -222,6 +223,7 @@ StatusOr<DecisionTree> TreeBuilder::BuildWeighted(
   if (!any_positive) {
     return Status::InvalidArgument("at least one weight must be positive");
   }
+  if (axes != nullptr) UDT_RETURN_NOT_OK(axes->CheckShape(train));
   return BuildFromRoot(train, MakeWeightedRootWorkingSet(train, weights),
                        axes, stats);
 }
@@ -249,11 +251,14 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
   std::unique_ptr<TreeNode> root;
   // Unless the caller already has, every numerical attribute is sorted
   // once, here (one pool task per attribute in parallel mode); each
-  // node's scans then filter the sorted axes in linear passes.
+  // node's scans then gather their points from the sorted axes.
   PresortedAxes own_axes;
+  double presort_seconds = 0.0;
   auto presorted = [&](TaskPool* pool) {
     if (axes == nullptr) {
+      WallTimer presort_timer;
       own_axes = PresortedAxes::Build(train, pool);
+      presort_seconds = presort_timer.ElapsedSeconds();
       axes = &own_axes;
     }
     return axes;
@@ -287,6 +292,7 @@ StatusOr<DecisionTree> TreeBuilder::BuildFromRoot(const Dataset& train,
     ctx.stats->subtrees_collapsed = prune_stats.subtrees_collapsed;
   }
   ctx.stats->build_seconds = timer.ElapsedSeconds();
+  ctx.stats->presort_seconds = presort_seconds;
   return tree;
 }
 

@@ -28,6 +28,9 @@ struct BuildStats {
   int leaves = 0;               // before post-pruning
   int subtrees_collapsed = 0;   // by post-pruning
   double build_seconds = 0.0;   // wall-clock, excludes data preparation
+  // Wall-clock of the attribute presort, included in build_seconds; 0
+  // when the caller supplied the presorted axes.
+  double presort_seconds = 0.0;
 
   // Field-wise accumulation — the one merge used by the parallel
   // scheduler, the forest trainer and cross-validation totals alike.
@@ -37,6 +40,7 @@ struct BuildStats {
     leaves += other.leaves;
     subtrees_collapsed += other.subtrees_collapsed;
     build_seconds += other.build_seconds;
+    presort_seconds += other.presort_seconds;
     return *this;
   }
 };
@@ -50,6 +54,8 @@ class TreeBuilder {
   // config. `stats` may be null. `axes`, when non-null, must be
   // PresortedAxes::Build(train, ...): the trees of one forest share one
   // sort of their data that way. Null sorts the attributes in this call.
+  // Axes of another shape (PresortedAxes::CheckShape) are rejected with
+  // InvalidArgument.
   StatusOr<DecisionTree> Build(const Dataset& train, BuildStats* stats,
                                const PresortedAxes* axes = nullptr) const;
 

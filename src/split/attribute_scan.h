@@ -2,31 +2,46 @@
 //
 // Each numerical attribute is sorted once per tree build into a presorted
 // axis (PresortedAxes): every sample point of every data-set tuple,
-// ordered by (x, tuple index, point index). A node's scan walks that axis
-// once, keeping the points whose tuple is in the working set and whose x
-// lies in the tuple's (lo, hi] constraint, then accumulates the kept
-// points' renormalised masses, in axis order, into the cumulative
-// per-class probability mass of each distinct x (the paper's tuple-count
-// function Phi_{c,j}, Definition 6). No scan sorts anything. With it:
-//   * candidate split points  = the positions (all but the last),
-//   * left/right class counts = O(#classes) lookups,
-//   * interval statistics (n_c, k_c, m_c) for the pruning bounds
-//                             = two lookups per class,
-//   * interval end points Q_j = the positions of each tuple's first and
-//     last kept point, recorded while accumulating.
+// ordered by (x, tuple index, point index), plus the inverse permutation
+// (each tuple point's axis index, its rank). No scan sorts anything.
 //
-// Tie order is canonical: the masses of points with equal x are summed in
-// (tuple index, point index) order, which the presort key fixes. A scan's
-// bytes therefore depend on the data alone, not on the order in which a
-// standard library's sort leaves equal keys.
+// Cost model. A working-set tuple keeps the contiguous run of its pdf's
+// points inside its (lo, hi] constraint, found by two binary searches. A
+// scan sets the ranks of the kept points in a bitmap and visits the set
+// bits in ascending order: that is axis order, without reading the rest
+// of the axis. Building a scan costs O(kept points + axis size / 64)
+// plus O(#classes) per end point: only the walk over the bitmap's words
+// grows with the whole axis.
+//
+// What is stored. One record per kept point, in axis order: its
+// renormalised mass (weight / constrained mass, the lazily-renormalised
+// truncated pdf of Section 3.2) and its class. Per distinct x (a
+// position): x and the index of its first record. The cumulative
+// per-class mass (the paper's tuple-count function Phi_{c,j},
+// Definition 6) is kept as a row only at the end points Q_j, the
+// positions of each tuple's first and last kept point. The split finders
+// score end points and interval bounds from those rows, O(1) each. They
+// reach the rows of interior positions by one forward sweep: start from
+// the interval's left end-point row and add each following position's
+// records (AccumulatePosition). The random-access queries below
+// (CumulativeMass, LeftCounts, RightCounts, IntervalStats) stay exact at
+// every position the same way, re-accumulating from the preceding end
+// point; they suit tests and one-off queries, not per-position loops.
+//
+// Tie order is canonical and unchanged by where a row is read: the masses
+// of points with equal x are summed in (tuple index, point index) order,
+// which the presort key fixes, and every row, whether snapshotted at an
+// end point or reached by a sweep, is the same sequence of additions. A
+// scan's bytes therefore depend on the data alone, not on the order in
+// which a standard library's sort leaves equal keys.
 
 #ifndef UDT_SPLIT_ATTRIBUTE_SCAN_H_
 #define UDT_SPLIT_ATTRIBUTE_SCAN_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "common/status.h"
 #include "split/fractional_tuple.h"
 #include "table/dataset.h"
 
@@ -42,6 +57,10 @@ class TaskPool;  // common/task_pool.h
 struct PresortedAxis {
   std::vector<double> x;
   std::vector<int32_t> tuple;  // data-set tuple index
+  // The inverse permutation: rank[offset[t] + p] is the axis index of
+  // point p of tuple t's pdf. One offset per tuple, plus one.
+  std::vector<uint32_t> offset;
+  std::vector<uint32_t> rank;
 
   size_t size() const { return x.size(); }
 };
@@ -69,6 +88,13 @@ class PresortedAxes {
     return axes_[static_cast<size_t>(attribute)];
   }
 
+  // OK if these axes have the shape Build(data, ...) gives: one axis per
+  // attribute and, for every numerical attribute, one offset per tuple
+  // plus one with each tuple's point count. InvalidArgument otherwise:
+  // scans index an axis by tuple and point, so axes presorted from
+  // another data set would read out of bounds.
+  Status CheckShape(const Dataset& data) const;
+
  private:
   // Sorts the attributes j with want[j] set; the others stay empty.
   static PresortedAxes Presort(const Dataset& data,
@@ -82,30 +108,23 @@ class PresortedAxes {
 // state between scans: every entry a scan touches is reset before it
 // returns.
 struct ScanScratch {
-  // A working-set tuple's (lo, hi] constraint. Tuples outside the working
-  // set, or with no mass under their constraint, keep the empty range
-  // (+inf, -inf], which no x passes.
-  struct Range {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-  };
-  // The rest of a working-set tuple's view of the attribute.
+  // A working-set tuple's view of the attribute, indexed by data-set
+  // tuple index.
   struct TupleSlot {
     double scale = 0.0;  // weight / constrained mass
     // The masses of the tuple's points inside its constraint, consumed
-    // in order as the scan keeps them.
+    // in order as the scan visits them.
     const double* masses = nullptr;
-    int cls = -1;        // label; -1 = not in the working set
-    int first_pos = -1;  // positions of the first and last kept point
-    int last_pos = -1;
+    int32_t cls = -1;  // label; -1 = not in the working set
+    // Kept points in all, and those not visited yet: the first visit
+    // finds remaining == kept, the last remaining == 1.
+    int32_t kept = 0;
+    int32_t remaining = 0;
   };
-  // Both indexed by data-set tuple index.
-  std::vector<Range> ranges;
   std::vector<TupleSlot> slots;
-  std::vector<int> touched;          // tuple indices whose entries are set
-  std::vector<uint32_t> kept;        // axis indices of the kept points
-  std::vector<double> running;       // per-class running mass
-  std::vector<uint8_t> is_endpoint;  // per position
+  std::vector<int> touched;     // tuple indices whose slots are set
+  std::vector<uint64_t> ranks;  // bitmap over axis indices; all clear
+  std::vector<double> running;  // per-class running mass
 };
 
 // Built once per (node, numerical attribute); immutable afterwards.
@@ -116,9 +135,8 @@ class AttributeScan {
 
   // Builds the scan of `set` over `axis`, the presorted attribute. Tuples
   // contribute their sample points restricted to their (lo, hi]
-  // constraint, with masses scaled by weight / constrained-mass (the
-  // lazily-renormalised truncated pdf of Section 3.2). A tuple index may
-  // appear at most once in `set`.
+  // constraint, with masses scaled by weight / constrained-mass. A tuple
+  // index may appear at most once in `set`.
   static AttributeScan Build(const Dataset& data, const WorkingSet& set,
                              int attribute, const PresortedAxis& axis,
                              int num_classes, ScanScratch* scratch);
@@ -136,20 +154,6 @@ class AttributeScan {
 
   int num_classes() const { return num_classes_; }
 
-  // Total mass of class `cls` at positions <= idx.
-  double CumulativeMass(int idx, int cls) const {
-    return cumulative_[static_cast<size_t>(idx) *
-                           static_cast<size_t>(num_classes_) +
-                       static_cast<size_t>(cls)];
-  }
-
-  // Class counts of the left side for a split at x(idx): out[c] = mass of
-  // class c at positions <= idx.
-  void LeftCounts(int idx, std::vector<double>* out) const;
-
-  // Class counts of the right side: totals - left.
-  void RightCounts(int idx, std::vector<double>* out) const;
-
   // Per-class total mass over the whole axis.
   const std::vector<double>& class_totals() const { return class_totals_; }
   double total_mass() const { return total_mass_; }
@@ -161,6 +165,38 @@ class AttributeScan {
     return endpoint_positions_;
   }
 
+  // The cumulative row at end point `e` (position endpoint_positions()[e]):
+  // num_classes() masses, row[c] = mass of class c at positions <= it.
+  const double* EndpointRow(size_t e) const {
+    return rows_.data() + e * static_cast<size_t>(num_classes_);
+  }
+
+  // One sweep step: adds the masses of position `idx` to `row`, in axis
+  // order. Turns the row at idx-1 into the row at idx, bit for bit.
+  void AccumulatePosition(int idx, double* row) const {
+    const size_t end = pos_begin_[static_cast<size_t>(idx) + 1];
+    for (size_t k = pos_begin_[static_cast<size_t>(idx)]; k < end; ++k) {
+      row[static_cast<size_t>(classes_[k])] += masses_[k];
+    }
+  }
+
+  // The cumulative rows at `positions` (ascending), [position][class],
+  // each swept from the nearest row at or before it.
+  std::vector<double> RowsAt(const std::vector<int>& positions) const;
+
+  // Random access; each call re-accumulates from the end point at or
+  // before idx.
+  //
+  // Total mass of class `cls` at positions <= idx.
+  double CumulativeMass(int idx, int cls) const;
+
+  // Class counts of the left side for a split at x(idx): out[c] = mass of
+  // class c at positions <= idx.
+  void LeftCounts(int idx, std::vector<double>* out) const;
+
+  // Class counts of the right side: totals - left.
+  void RightCounts(int idx, std::vector<double>* out) const;
+
   // Interval statistics for the half-open interval (x(a_idx), x(b_idx)]:
   //   nc[c] = mass at positions <= a_idx        (paper: Phi_c(-inf, a])
   //   kc[c] = mass in (a_idx, b_idx]            (paper: Phi_c(a, b])
@@ -169,11 +205,26 @@ class AttributeScan {
   void IntervalStats(int a_idx, int b_idx, std::vector<double>* nc,
                      std::vector<double>* kc, std::vector<double>* mc) const;
 
+  // IntervalStats from the cumulative rows at a_idx and b_idx.
+  void IntervalStatsFromRows(const double* row_a, const double* row_b,
+                             std::vector<double>* nc, std::vector<double>* kc,
+                             std::vector<double>* mc) const;
+
  private:
+  // Writes the cumulative row at `idx` into `row`.
+  void RowAt(int idx, double* row) const;
+
+  // Per kept point, in axis order: its scaled mass and its class.
+  std::vector<double> masses_;
+  std::vector<int32_t> classes_;
+  // Per position: x, and the index of its first record (plus one final
+  // entry, the record count).
   std::vector<double> xs_;
-  std::vector<double> cumulative_;  // row-major [position][class]
-  std::vector<double> class_totals_;
+  std::vector<uint32_t> pos_begin_;
+  // Per end point: its position and its row, [end point][class].
   std::vector<int> endpoint_positions_;
+  std::vector<double> rows_;
+  std::vector<double> class_totals_;
   double total_mass_ = 0.0;
   int num_classes_ = 0;
 };

@@ -13,7 +13,7 @@
 namespace udt {
 
 // Class-mass statistics of one interval (a, b], as produced by
-// AttributeScan::IntervalStats:
+// AttributeScan::IntervalStats or IntervalStatsFromRows:
 //   nc[c] = mass of class c at or left of a,
 //   kc[c] = mass of class c in (a, b],
 //   mc[c] = mass of class c right of b.

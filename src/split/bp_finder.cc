@@ -27,23 +27,26 @@ class BpFinder final : public SplitFinder {
                                  SplitCounters* counters,
                                  EvalBuffers* buffers) const override {
     SplitCandidate best;
-    for (int idx : ctx.endpoints) {
-      EvaluatePosition(ctx, idx, scorer, options, &best, counters, buffers);
+    for (size_t e = 0; e < ctx.endpoints.size(); ++e) {
+      EvaluateEndpoint(ctx, e, scorer, options, &best, counters, buffers);
     }
-    for (const EndpointInterval& interval : ctx.intervals) {
+    for (size_t e = 0; e < ctx.intervals.size(); ++e) {
+      const EndpointInterval& interval = ctx.intervals[e];
       if (counters != nullptr) ++counters->intervals_total;
       if (interval.num_interior() <= 0) continue;
       if (PruneByKind(interval, scorer, counters)) continue;
       if (scorer.SupportsHomogeneousPruning() &&
-          IntervalHasLinearGrowth(ctx.scan, interval.a_idx, interval.b_idx)) {
+          IntervalHasLinearGrowth(ctx.scan, interval.a_idx, interval.b_idx,
+                                  ctx.EndpointRow(e),
+                                  ctx.EndpointRow(e + 1))) {
         if (counters != nullptr) {
           ++counters->intervals_pruned_linear;
           counters->candidates_pruned += interval.num_interior();
         }
         continue;
       }
-      EvaluateInterior(ctx, interval.a_idx, interval.b_idx, scorer, options,
-                       &best, counters, buffers);
+      EvaluateInterior(ctx, e, e + 1, scorer, options, &best, counters,
+                       buffers);
     }
     return best;
   }

@@ -55,8 +55,8 @@ class EsFinder final : public SplitFinder {
         static_cast<int>(ctx.endpoints.size()),
         options.es_endpoint_sample_rate);
     for (int ei : picks) {
-      EvaluatePosition(ctx, ctx.endpoints[static_cast<size_t>(ei)], scorer,
-                       options, &best, counters, buffers);
+      EvaluateEndpoint(ctx, static_cast<size_t>(ei), scorer, options, &best,
+                       counters, buffers);
     }
     return best;
   }
@@ -76,8 +76,8 @@ class EsFinder final : public SplitFinder {
       int ej = picks[s + 1];
       if (ej == ei + 1) {
         // Adjacent end points: this *is* a fine interval.
-        ProcessInterval(ctx, ctx.intervals[static_cast<size_t>(ei)], scorer,
-                        options, &best, counters, buffers);
+        ProcessInterval(ctx, static_cast<size_t>(ei), scorer, options, &best,
+                        counters, buffers);
         continue;
       }
       int a_idx = ctx.endpoints[static_cast<size_t>(ei)];
@@ -86,7 +86,8 @@ class EsFinder final : public SplitFinder {
       if (b_idx - a_idx <= 1) continue;  // no candidates strictly inside
 
       double bound =
-          IntervalBound(ctx, a_idx, b_idx, scorer, counters, buffers);
+          IntervalBound(ctx, static_cast<size_t>(ei), static_cast<size_t>(ej),
+                        scorer, counters, buffers);
       if (best.valid && bound >= best.score - kPruneSlack) {
         // The whole coarse interval - unsampled end points included - is
         // pruned by one bound.
@@ -100,12 +101,12 @@ class EsFinder final : public SplitFinder {
       // Refine: bring back the original end points inside (Fig 5 rows
       // 7-9), update the threshold, then process the fine intervals.
       for (int e = ei + 1; e < ej; ++e) {
-        EvaluatePosition(ctx, ctx.endpoints[static_cast<size_t>(e)], scorer,
-                         options, &best, counters, buffers);
+        EvaluateEndpoint(ctx, static_cast<size_t>(e), scorer, options, &best,
+                         counters, buffers);
       }
       for (int e = ei; e < ej; ++e) {
-        ProcessInterval(ctx, ctx.intervals[static_cast<size_t>(e)], scorer,
-                        options, &best, counters, buffers);
+        ProcessInterval(ctx, static_cast<size_t>(e), scorer, options, &best,
+                        counters, buffers);
       }
     }
     return best;

@@ -29,10 +29,13 @@ AttributeContext BuildContextForAttribute(const Dataset& data,
     ctx.scan = AttributeScan();  // no valid binary split
     return ctx;
   }
+  const int nc = ctx.scan.num_classes();
   if (options.use_percentile_endpoints) {
     ctx.endpoints =
         ComputePercentileEndpoints(ctx.scan, options.percentiles_per_class);
-    ctx.intervals = SegmentIntoIntervals(ctx.scan, ctx.endpoints);
+    ctx.percentile_rows = ctx.scan.RowsAt(ctx.endpoints);
+    ctx.intervals =
+        SegmentIntoIntervals(ctx.endpoints, ctx.percentile_rows.data(), nc);
     // Percentile pseudo-end-points are not true support boundaries, so
     // Theorems 1/2 do not apply; force bounding for every interval.
     for (EndpointInterval& interval : ctx.intervals) {
@@ -40,24 +43,39 @@ AttributeContext BuildContextForAttribute(const Dataset& data,
     }
   } else {
     ctx.endpoints = ctx.scan.endpoint_positions();
-    ctx.intervals = SegmentIntoIntervals(ctx.scan, ctx.endpoints);
+    ctx.intervals =
+        SegmentIntoIntervals(ctx.endpoints, ctx.scan.EndpointRow(0), nc);
   }
   return ctx;
 }
 
-void EvaluatePosition(const AttributeContext& ctx, int idx,
+void EvaluateEndpoint(const AttributeContext& ctx, size_t e,
                       const SplitScorer& scorer, const SplitOptions& options,
                       SplitCandidate* best, SplitCounters* counters,
                       EvalBuffers* buffers) {
+  const double* row = ctx.EndpointRow(e);
+  buffers->left.assign(row, row + ctx.scan.num_classes());
+  EvaluateRow(ctx, ctx.endpoints[e], scorer, options, best, counters,
+              buffers);
+}
+
+void EvaluateRow(const AttributeContext& ctx, int idx,
+                 const SplitScorer& scorer, const SplitOptions& options,
+                 SplitCandidate* best, SplitCounters* counters,
+                 EvalBuffers* buffers) {
   const AttributeScan& scan = ctx.scan;
-  scan.LeftCounts(idx, &buffers->left);
   double left_mass = 0.0;
   for (double v : buffers->left) left_mass += v;
   double right_mass = scan.total_mass() - left_mass;
   if (left_mass < options.min_side_mass || right_mass < options.min_side_mass) {
     return;  // degenerate split; not a candidate
   }
-  scan.RightCounts(idx, &buffers->right);
+  const std::vector<double>& totals = scan.class_totals();
+  buffers->right.resize(totals.size());
+  for (size_t c = 0; c < totals.size(); ++c) {
+    double v = totals[c] - buffers->left[c];
+    buffers->right[c] = v > 0.0 ? v : 0.0;
+  }
   double score = scorer.Score(buffers->left, buffers->right);
   if (counters != nullptr) ++counters->dispersion_evaluations;
 
@@ -69,20 +87,24 @@ void EvaluatePosition(const AttributeContext& ctx, int idx,
   if (!best->valid || candidate.BetterThan(*best)) *best = candidate;
 }
 
-void EvaluateInterior(const AttributeContext& ctx, int a_idx, int b_idx,
+void EvaluateInterior(const AttributeContext& ctx, size_t ea, size_t eb,
                       const SplitScorer& scorer, const SplitOptions& options,
                       SplitCandidate* best, SplitCounters* counters,
                       EvalBuffers* buffers) {
-  for (int idx = a_idx + 1; idx < b_idx; ++idx) {
-    EvaluatePosition(ctx, idx, scorer, options, best, counters, buffers);
+  const double* row = ctx.EndpointRow(ea);
+  buffers->left.assign(row, row + ctx.scan.num_classes());
+  for (int idx = ctx.endpoints[ea] + 1; idx < ctx.endpoints[eb]; ++idx) {
+    ctx.scan.AccumulatePosition(idx, buffers->left.data());
+    EvaluateRow(ctx, idx, scorer, options, best, counters, buffers);
   }
 }
 
-double IntervalBound(const AttributeContext& ctx, int a_idx, int b_idx,
+double IntervalBound(const AttributeContext& ctx, size_t ea, size_t eb,
                      const SplitScorer& scorer, SplitCounters* counters,
                      EvalBuffers* buffers) {
-  ctx.scan.IntervalStats(a_idx, b_idx, &buffers->stats.nc,
-                         &buffers->stats.kc, &buffers->stats.mc);
+  ctx.scan.IntervalStatsFromRows(ctx.EndpointRow(ea), ctx.EndpointRow(eb),
+                                 &buffers->stats.nc, &buffers->stats.kc,
+                                 &buffers->stats.mc);
   if (counters != nullptr) ++counters->bound_evaluations;
   return ScoreLowerBound(scorer, buffers->stats);
 }
@@ -107,17 +129,16 @@ bool PruneByKind(const EndpointInterval& interval, const SplitScorer& scorer,
   return false;
 }
 
-void ProcessInterval(const AttributeContext& ctx,
-                     const EndpointInterval& interval,
+void ProcessInterval(const AttributeContext& ctx, size_t e,
                      const SplitScorer& scorer, const SplitOptions& options,
                      SplitCandidate* best, SplitCounters* counters,
                      EvalBuffers* buffers) {
+  const EndpointInterval& interval = ctx.intervals[e];
   if (counters != nullptr) ++counters->intervals_total;
   if (interval.num_interior() <= 0) return;
   if (PruneByKind(interval, scorer, counters)) return;
 
-  double bound = IntervalBound(ctx, interval.a_idx, interval.b_idx, scorer,
-                               counters, buffers);
+  double bound = IntervalBound(ctx, e, e + 1, scorer, counters, buffers);
   if (best->valid && bound >= best->score - kPruneSlack) {
     if (counters != nullptr) {
       ++counters->intervals_pruned_by_bound;
@@ -125,8 +146,7 @@ void ProcessInterval(const AttributeContext& ctx,
     }
     return;
   }
-  EvaluateInterior(ctx, interval.a_idx, interval.b_idx, scorer, options, best,
-                   counters, buffers);
+  EvaluateInterior(ctx, e, e + 1, scorer, options, best, counters, buffers);
 }
 
 }  // namespace split_internal

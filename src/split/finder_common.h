@@ -33,15 +33,28 @@ struct AttributeContext {
   // pseudo-end-points in Section 7.3 mode). Ascending; first == 0 and
   // last == scan.num_positions()-1.
   std::vector<int> endpoints;
-  // Intervals between consecutive end points.
+  // In percentile mode, the cumulative rows at `endpoints`,
+  // [end point][class]; empty otherwise, when the scan's own end-point
+  // rows serve.
+  std::vector<double> percentile_rows;
+  // Intervals between consecutive end points: intervals[e] runs from
+  // endpoints[e] to endpoints[e + 1].
   std::vector<EndpointInterval> intervals;
+
+  // The cumulative row at endpoints[e], O(1).
+  const double* EndpointRow(size_t e) const {
+    return percentile_rows.empty()
+               ? scan.EndpointRow(e)
+               : percentile_rows.data() +
+                     e * static_cast<size_t>(scan.num_classes());
+  }
 };
 
 // Scratch buffers reused across scans and candidate evaluations. Each
 // task owns one; nothing in it outlives a single call.
 struct EvalBuffers {
   ScanScratch scan;
-  std::vector<double> left;
+  std::vector<double> left;  // also the row a sweep carries
   std::vector<double> right;
   IntervalMassStats stats;
 };
@@ -61,22 +74,31 @@ AttributeContext BuildContextForAttribute(const Dataset& data,
                                           int num_classes,
                                           EvalBuffers* buffers);
 
-// Scores the split at position `idx` of `ctx` and merges it into `best`.
-// Skips (without counting) candidates that leave either side with less
-// than options.min_side_mass.
-void EvaluatePosition(const AttributeContext& ctx, int idx,
+// Scores the split at end point `e` of `ctx` (position endpoints[e]) and
+// merges it into `best`. Skips (without counting) candidates that leave
+// either side with less than options.min_side_mass.
+void EvaluateEndpoint(const AttributeContext& ctx, size_t e,
                       const SplitScorer& scorer, const SplitOptions& options,
                       SplitCandidate* best, SplitCounters* counters,
                       EvalBuffers* buffers);
 
-// Scores every interior position of (a_idx, b_idx].
-void EvaluateInterior(const AttributeContext& ctx, int a_idx, int b_idx,
+// Scores the split at position `idx`, whose cumulative row the caller has
+// put in buffers->left, and merges it into `best` as above.
+void EvaluateRow(const AttributeContext& ctx, int idx,
+                 const SplitScorer& scorer, const SplitOptions& options,
+                 SplitCandidate* best, SplitCounters* counters,
+                 EvalBuffers* buffers);
+
+// Scores every interior position of the span from end point `ea` to end
+// point `eb` (ea < eb), in one forward sweep from end point ea's row.
+void EvaluateInterior(const AttributeContext& ctx, size_t ea, size_t eb,
                       const SplitScorer& scorer, const SplitOptions& options,
                       SplitCandidate* best, SplitCounters* counters,
                       EvalBuffers* buffers);
 
-// Lower bound of the score over the interior of (a_idx, b_idx].
-double IntervalBound(const AttributeContext& ctx, int a_idx, int b_idx,
+// Lower bound of the score over the interior of the span from end point
+// `ea` to end point `eb`.
+double IntervalBound(const AttributeContext& ctx, size_t ea, size_t eb,
                      const SplitScorer& scorer, SplitCounters* counters,
                      EvalBuffers* buffers);
 
@@ -85,10 +107,9 @@ double IntervalBound(const AttributeContext& ctx, int a_idx, int b_idx,
 bool PruneByKind(const EndpointInterval& interval, const SplitScorer& scorer,
                  SplitCounters* counters);
 
-// Processes one (fine) interval the GP/ES way: kind-prune, else bound
-// against the current best, else evaluate the interior.
-void ProcessInterval(const AttributeContext& ctx,
-                     const EndpointInterval& interval,
+// Processes interval `e` of ctx.intervals the GP/ES way: kind-prune,
+// else bound against the current best, else evaluate the interior.
+void ProcessInterval(const AttributeContext& ctx, size_t e,
                      const SplitScorer& scorer, const SplitOptions& options,
                      SplitCandidate* best, SplitCounters* counters,
                      EvalBuffers* buffers);

@@ -33,8 +33,8 @@ class GpFinder final : public SplitFinder {
                                SplitCounters* counters,
                                EvalBuffers* buffers) const override {
     SplitCandidate best;
-    for (int idx : ctx.endpoints) {
-      EvaluatePosition(ctx, idx, scorer, options, &best, counters, buffers);
+    for (size_t e = 0; e < ctx.endpoints.size(); ++e) {
+      EvaluateEndpoint(ctx, e, scorer, options, &best, counters, buffers);
     }
     return best;
   }
@@ -46,9 +46,8 @@ class GpFinder final : public SplitFinder {
                                  SplitCounters* counters,
                                  EvalBuffers* buffers) const override {
     SplitCandidate best = seed;  // the end points were scored in phase 1
-    for (const EndpointInterval& interval : ctx.intervals) {
-      ProcessInterval(ctx, interval, scorer, options, &best, counters,
-                      buffers);
+    for (size_t e = 0; e < ctx.intervals.size(); ++e) {
+      ProcessInterval(ctx, e, scorer, options, &best, counters, buffers);
     }
     return best;
   }

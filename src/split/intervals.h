@@ -37,11 +37,19 @@ struct EndpointInterval {
 IntervalKind ClassifyInterval(const AttributeScan& scan, int a_idx,
                               int b_idx);
 
+// As above, from the cumulative rows at its two ends.
+IntervalKind ClassifyInterval(const double* row_a, const double* row_b,
+                              int num_classes);
+
 // Builds the intervals between consecutive end points of `endpoints`
 // (positions into `scan`, ascending). With v end points this yields v-1
 // intervals.
 std::vector<EndpointInterval> SegmentIntoIntervals(
     const AttributeScan& scan, const std::vector<int>& endpoints);
+
+// As above, given the cumulative rows at `endpoints`, [end point][class].
+std::vector<EndpointInterval> SegmentIntoIntervals(
+    const std::vector<int>& endpoints, const double* rows, int num_classes);
 
 // Theorem 3: if every class's tuple count grows linearly inside a
 // heterogeneous interval, an end point of the interval is also optimal and
@@ -53,6 +61,11 @@ std::vector<EndpointInterval> SegmentIntoIntervals(
 // interval, and for aligned combinations of such grids.
 bool IntervalHasLinearGrowth(const AttributeScan& scan, int a_idx,
                              int b_idx);
+
+// As above, given the cumulative rows at a_idx and b_idx; one forward
+// sweep from row_a.
+bool IntervalHasLinearGrowth(const AttributeScan& scan, int a_idx, int b_idx,
+                             const double* row_a, const double* row_b);
 
 }  // namespace udt
 

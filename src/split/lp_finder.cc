@@ -27,12 +27,11 @@ class LpFinder final : public SplitFinder {
                                  EvalBuffers* buffers) const override {
     // Local threshold: best candidate within this attribute only.
     SplitCandidate local;
-    for (int idx : ctx.endpoints) {
-      EvaluatePosition(ctx, idx, scorer, options, &local, counters, buffers);
+    for (size_t e = 0; e < ctx.endpoints.size(); ++e) {
+      EvaluateEndpoint(ctx, e, scorer, options, &local, counters, buffers);
     }
-    for (const EndpointInterval& interval : ctx.intervals) {
-      ProcessInterval(ctx, interval, scorer, options, &local, counters,
-                      buffers);
+    for (size_t e = 0; e < ctx.intervals.size(); ++e) {
+      ProcessInterval(ctx, e, scorer, options, &local, counters, buffers);
     }
     return local;
   }

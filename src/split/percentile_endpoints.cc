@@ -15,24 +15,28 @@ std::vector<int> ComputePercentileEndpoints(const AttributeScan& scan,
   positions.push_back(0);
   positions.push_back(scan.num_positions() - 1);
 
-  for (int c = 0; c < scan.num_classes(); ++c) {
-    double total = scan.class_totals()[static_cast<size_t>(c)];
-    if (total <= kMassEpsilon) continue;
-    for (int p = 1; p <= percentiles_per_class; ++p) {
-      double target = total * static_cast<double>(p) /
-                      (percentiles_per_class + 1);
-      // Smallest position whose cumulative class-c mass reaches the target.
-      int lo = 0;
-      int hi = scan.num_positions() - 1;
-      while (lo < hi) {
-        int mid = lo + (hi - lo) / 2;
-        if (scan.CumulativeMass(mid, c) >= target) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
+  // Per class, the targets still to cross, ascending: percentile p of
+  // class c is the smallest position whose cumulative class-c mass
+  // reaches total_c * p / (P + 1). Cumulative masses only grow along the
+  // axis, so one forward sweep meets every crossing in order; a target
+  // never reached (by rounding) falls to the last position, listed above.
+  const size_t nc = static_cast<size_t>(scan.num_classes());
+  std::vector<int> next(nc, percentiles_per_class + 1);  // none left
+  for (size_t c = 0; c < nc; ++c) {
+    if (scan.class_totals()[c] > kMassEpsilon) next[c] = 1;
+  }
+  auto target = [&](size_t c) {
+    return scan.class_totals()[c] * static_cast<double>(next[c]) /
+           (percentiles_per_class + 1);
+  };
+  std::vector<double> row(scan.EndpointRow(0), scan.EndpointRow(0) + nc);
+  for (int idx = 0; idx < scan.num_positions(); ++idx) {
+    if (idx > 0) scan.AccumulatePosition(idx, row.data());
+    for (size_t c = 0; c < nc; ++c) {
+      while (next[c] <= percentiles_per_class && row[c] >= target(c)) {
+        positions.push_back(idx);
+        ++next[c];
       }
-      positions.push_back(lo);
     }
   }
 

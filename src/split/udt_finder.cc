@@ -27,10 +27,13 @@ class ExhaustiveFinder final : public SplitFinder {
                                  SplitCounters* counters,
                                  EvalBuffers* buffers) const override {
     SplitCandidate best;
-    // The last position puts everything left; EvaluatePosition rejects it
-    // via the min-side-mass check, so sweep all but the last.
-    for (int idx = 0; idx + 1 < ctx.scan.num_positions(); ++idx) {
-      EvaluatePosition(ctx, idx, scorer, options, &best, counters, buffers);
+    // One forward sweep from the row at position 0 (always end point 0).
+    // The last position puts everything left; EvaluateRow rejects it via
+    // the min-side-mass check, so sweep all but the last.
+    EvaluateEndpoint(ctx, 0, scorer, options, &best, counters, buffers);
+    for (int idx = 1; idx + 1 < ctx.scan.num_positions(); ++idx) {
+      ctx.scan.AccumulatePosition(idx, buffers->left.data());
+      EvaluateRow(ctx, idx, scorer, options, &best, counters, buffers);
     }
     if (counters != nullptr) {
       counters->intervals_total += static_cast<int64_t>(ctx.intervals.size());

@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "core/builder.h"
 #include "pdf/pdf_builder.h"
+#include "split/attribute_scan.h"
 #include "tree/classify.h"
 #include "tree/tree_io.h"
 
@@ -215,6 +216,64 @@ TEST(BuilderTest, MultiAttributePicksInformativeOne) {
   ASSERT_TRUE(tree.ok());
   ASSERT_FALSE(tree->root().is_leaf());
   EXPECT_EQ(tree->root().attribute, 1);
+}
+
+TEST(BuilderTest, ForeignPresortedAxesRejected) {
+  // Scans index an axis by tuple and point, so axes presorted from a data
+  // set of another shape must be refused, not read out of bounds.
+  Dataset ds = SeparableDataset(20, 1.0, 31);
+  const std::vector<double> weights(20, 1.0);
+  TreeBuilder builder(BaseConfig(SplitAlgorithm::kUdtEs));
+  auto expect_rejected = [&](const PresortedAxes& axes, const char* what) {
+    StatusOr<DecisionTree> tree = builder.Build(ds, nullptr, &axes);
+    ASSERT_FALSE(tree.ok()) << what;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument) << what;
+    tree = builder.BuildWeighted(ds, weights, nullptr, &axes);
+    ASSERT_FALSE(tree.ok()) << what;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  // Fewer tuples.
+  expect_rejected(PresortedAxes::Build(SeparableDataset(19, 1.0, 31), nullptr),
+                  "tuple count");
+  // The same tuple count, but one tuple with another number of points.
+  Dataset other = SeparableDataset(19, 1.0, 31);
+  UncertainTuple extra{{UncertainValue::Numerical(SampledPdf::PointMass(0.5))},
+                       0};
+  ASSERT_TRUE(other.AddTuple(extra).ok());
+  expect_rejected(PresortedAxes::Build(other, nullptr), "point count");
+  // Another attribute count.
+  Dataset wide(Schema::Numerical(2, {"A", "B"}));
+  for (int i = 0; i < ds.num_tuples(); ++i) {
+    UncertainTuple t = ds.tuple(i);
+    t.values.push_back(t.values[0]);
+    ASSERT_TRUE(wide.AddTuple(t).ok());
+  }
+  expect_rejected(PresortedAxes::Build(wide, nullptr), "attribute count");
+  // Nothing presorted.
+  expect_rejected(PresortedAxes(), "empty axes");
+
+  // The data set's own axes are accepted.
+  const PresortedAxes own = PresortedAxes::Build(ds, nullptr);
+  EXPECT_TRUE(builder.Build(ds, nullptr, &own).ok());
+  EXPECT_TRUE(builder.BuildWeighted(ds, weights, nullptr, &own).ok());
+}
+
+TEST(BuilderTest, PresortTimedOnlyWhenTheBuildPresorts) {
+  Dataset ds = SeparableDataset(30, 0.5, 37);
+  TreeBuilder builder(BaseConfig(SplitAlgorithm::kUdtEs));
+  BuildStats own;
+  ASSERT_TRUE(builder.Build(ds, &own).ok());
+  EXPECT_GT(own.presort_seconds, 0.0);
+  EXPECT_LE(own.presort_seconds, own.build_seconds);
+
+  const PresortedAxes axes = PresortedAxes::Build(ds, nullptr);
+  BuildStats shared;
+  ASSERT_TRUE(builder.Build(ds, &shared, &axes).ok());
+  EXPECT_EQ(shared.presort_seconds, 0.0);
+
+  BuildStats total = own;
+  total += shared;
+  EXPECT_EQ(total.presort_seconds, own.presort_seconds);
 }
 
 }  // namespace

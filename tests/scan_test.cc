@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
 
@@ -446,6 +447,165 @@ TEST(ScanEquivalenceTest, ConstraintWithoutMassContributesNothing) {
   set[0].lo[0] = 5.5;
   set[0].hi[0] = 5.75;
   CheckAgainstReference(ds, {set}, "massless constraint");
+}
+
+// The rows a split finder reads, against the reference: every end-point
+// row, every row a forward sweep from an end-point row reaches (up to and
+// including the next end point), and RowsAt at every position.
+void ExpectSameRows(const AttributeScan& scan, const ReferenceScan& ref,
+                    int num_classes, const std::string& what) {
+  ASSERT_EQ(static_cast<size_t>(scan.num_positions()), ref.xs.size()) << what;
+  ASSERT_EQ(scan.endpoint_positions(), ref.endpoints) << what;
+  const size_t nc = static_cast<size_t>(num_classes);
+  int mismatches = 0;
+  auto compare = [&](const double* row, int position) {
+    const double* want =
+        ref.cumulative.data() + static_cast<size_t>(position) * nc;
+    for (size_t c = 0; c < nc; ++c) {
+      mismatches += Bits(row[c]) != Bits(want[c]);
+    }
+  };
+  const std::vector<int>& endpoints = scan.endpoint_positions();
+  for (size_t e = 0; e < endpoints.size(); ++e) {
+    const double* row = scan.EndpointRow(e);
+    compare(row, endpoints[e]);
+    std::vector<double> swept(row, row + nc);
+    const int stop = e + 1 < endpoints.size() ? endpoints[e + 1]
+                                              : scan.num_positions() - 1;
+    for (int p = endpoints[e] + 1; p <= stop; ++p) {
+      scan.AccumulatePosition(p, swept.data());
+      compare(swept.data(), p);
+    }
+  }
+  std::vector<int> all(static_cast<size_t>(scan.num_positions()));
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<double> rows = scan.RowsAt(all);
+  for (int p = 0; p < scan.num_positions(); ++p) {
+    compare(rows.data() + static_cast<size_t>(p) * nc, p);
+  }
+  EXPECT_EQ(mismatches, 0) << what;
+}
+
+// Scans every set on every attribute over one shared presort with one
+// reused scratch, checking both the random-access view and the rows.
+void CheckRowsAgainstReference(const Dataset& ds,
+                               const std::vector<WorkingSet>& sets,
+                               const std::string& name) {
+  const int num_classes = ds.num_classes();
+  const PresortedAxes axes = PresortedAxes::Build(ds, /*pool=*/nullptr);
+  ScanScratch scratch;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    for (int j = 0; j < ds.num_attributes(); ++j) {
+      const std::string what = name + " set " + std::to_string(i) +
+                               " attribute " + std::to_string(j);
+      const ReferenceScan ref = BruteForceScan(ds, sets[i], j, num_classes);
+      const AttributeScan scan = AttributeScan::Build(
+          ds, sets[i], j, axes.axis(j), num_classes, &scratch);
+      ExpectSameBytes(scan, ref, num_classes, what);
+      ExpectSameRows(scan, ref, num_classes, what);
+    }
+  }
+}
+
+TEST(ScanEquivalenceTest, SweptAndEndpointRowsMatchReference) {
+  for (uint64_t seed : {11, 12}) {
+    for (Values values : {Values::kContinuous, Values::kGrid}) {
+      Dataset ds = RandomDataset(values, 40, 2, seed);
+      Rng rng(seed + 100);
+      CheckRowsAgainstReference(
+          ds, PartitionedSets(ds, MakeRootWorkingSet(ds), 4, &rng),
+          "seed " + std::to_string(seed) +
+              (values == Values::kGrid ? " grid" : " continuous"));
+    }
+  }
+}
+
+TEST(ScanEquivalenceTest, SparseDeepNodeOnLargeAxis) {
+  // A deep node: at most three tuples of a 300-tuple axis, so nearly every
+  // bitmap word the scan walks is empty. Scans of the whole set before
+  // and after check that the shared scratch comes back clean.
+  Dataset ds = RandomDataset(Values::kContinuous, 300, 1, 13);
+  const WorkingSet root = MakeRootWorkingSet(ds);
+  std::vector<WorkingSet> sets = {root};
+  Rng rng(113);
+  for (int k = 0; k < 8; ++k) {
+    WorkingSet set;
+    const int size = 1 + k % 3;
+    for (int i = 0; i < size; ++i) {
+      FractionalTuple ft = root[static_cast<size_t>(
+          rng.UniformInt(ds.num_tuples()))];
+      bool repeated = false;
+      for (const FractionalTuple& other : set) {
+        repeated |= other.tuple_index == ft.tuple_index;
+      }
+      if (repeated) continue;
+      const SampledPdf& pdf = ds.tuple(ft.tuple_index).values[0].pdf();
+      if (k % 2 == 1 && pdf.num_points() > 2) {
+        // Constrain to the interior points, as a deep node would.
+        ft.lo[0] = pdf.point(0);
+        ft.hi[0] = pdf.point(pdf.num_points() - 2);
+        ft.weight = 0.25;
+      }
+      set.push_back(ft);
+    }
+    sets.push_back(set);
+  }
+  sets.push_back(root);
+  CheckRowsAgainstReference(ds, sets, "sparse");
+}
+
+TEST(ScanEquivalenceTest, TupleKeepingOnePoint) {
+  Dataset ds = RandomDataset(Values::kGrid, 12, 1, 14);
+  WorkingSet set = MakeRootWorkingSet(ds);
+  std::vector<WorkingSet> sets;
+  for (size_t t = 0; t < set.size(); ++t) {
+    const SampledPdf& pdf = ds.tuple(static_cast<int>(t)).values[0].pdf();
+    const int p = pdf.num_points() / 2;
+    // (x_p - 0.5, x_p]: grid points are integers, so exactly x_p is kept,
+    // and the tuple's first kept point is also its last.
+    WorkingSet one = set;
+    one[t].lo[0] = pdf.point(p) - 0.5;
+    one[t].hi[0] = pdf.point(p);
+    sets.push_back(one);
+    const AttributeScan scan = AttributeScan::Build(ds, one, 0, 3);
+    const std::vector<int>& endpoints = scan.endpoint_positions();
+    int position = 0;
+    while (scan.x(position) != pdf.point(p)) ++position;
+    EXPECT_TRUE(std::binary_search(endpoints.begin(), endpoints.end(),
+                                   position))
+        << "tuple " << t;
+  }
+  // Every tuple at once down to a single point.
+  WorkingSet all = set;
+  for (size_t t = 0; t < all.size(); ++t) {
+    const SampledPdf& pdf = ds.tuple(static_cast<int>(t)).values[0].pdf();
+    all[t].lo[0] = pdf.point(0) - 0.5;
+    all[t].hi[0] = pdf.point(0);
+  }
+  sets.push_back(all);
+  CheckRowsAgainstReference(ds, sets, "one point");
+}
+
+TEST(ScanEquivalenceTest, TuplesWithZeroConstrainedMass) {
+  Dataset ds = RandomDataset(Values::kGrid, 10, 1, 15);
+  WorkingSet set = MakeRootWorkingSet(ds);
+  // Tuple 0's constraint lies below all its points, tuple 9's above them,
+  // tuple 4's in a gap between integers: none of them keeps a point.
+  const SampledPdf& first = ds.tuple(0).values[0].pdf();
+  set[0].lo[0] = first.point(0) - 2.0;
+  set[0].hi[0] = first.point(0) - 1.0;
+  const SampledPdf& last = ds.tuple(9).values[0].pdf();
+  set[9].lo[0] = last.point(last.num_points() - 1);
+  set[9].hi[0] = last.point(last.num_points() - 1) + 5.0;
+  set[4].lo[0] = 6.25;
+  set[4].hi[0] = 6.5;
+  WorkingSet none = set;
+  for (FractionalTuple& ft : none) {
+    ft.lo[0] = 20.0;
+    ft.hi[0] = 30.0;
+  }
+  CheckRowsAgainstReference(ds, {set, none}, "massless");
+  EXPECT_TRUE(AttributeScan::Build(ds, none, 0, 3).empty());
 }
 
 }  // namespace

@@ -380,6 +380,75 @@ TEST_P(GeneratedDataEquivalenceTest, PrunedFindersMatchExhaustiveScore) {
   EXPECT_GT(nodes, 1);
 }
 
+// Section 7.3 mode on the same generated data: with percentile
+// pseudo-end-points every finder reads its end-point rows from rows swept
+// at those positions, and every pruned finder must still return the
+// exhaustive score. The exhaustive sweep itself must not change at all.
+TEST_P(GeneratedDataEquivalenceTest,
+       PercentileModeFindersMatchExhaustiveScore) {
+  const GeneratedCase& param = GetParam();
+  datagen::SyntheticConfig config;
+  config.num_tuples = 48;
+  config.num_attributes = 3;
+  config.num_classes = 3;
+  config.integer_domain = param.error_model == ErrorModel::kUniform;
+  config.integer_levels = 20;
+  config.seed = param.seed;
+  UncertaintyOptions options;
+  options.error_model = param.error_model;
+  options.samples_per_pdf = param.s;
+  options.width_fraction = param.w;
+  StatusOr<Dataset> data =
+      InjectUncertainty(datagen::GenerateSynthetic(config), options);
+  ASSERT_TRUE(data.ok());
+  const Dataset& ds = *data;
+  const PresortedAxes axes = PresortedAxes::Build(ds, /*pool=*/nullptr);
+
+  SplitOptions plain;
+  SplitOptions percentile;
+  percentile.use_percentile_endpoints = true;
+  std::unique_ptr<SplitFinder> exhaustive_finder =
+      MakeSplitFinder(SplitAlgorithm::kUdt);
+  std::vector<std::pair<WorkingSet, int>> pending;
+  pending.emplace_back(MakeRootWorkingSet(ds), 0);
+  int nodes = 0;
+  while (!pending.empty()) {
+    auto [set, depth] = std::move(pending.back());
+    pending.pop_back();
+    SplitScorer scorer(DispersionMeasure::kEntropy,
+                       ClassCounts(ds, set, ds.num_classes()));
+    SplitCandidate exhaustive = exhaustive_finder->FindBestSplit(
+        ds, set, scorer, plain, nullptr, nullptr, &axes);
+    ++nodes;
+    for (SplitAlgorithm algorithm :
+         {SplitAlgorithm::kUdt, SplitAlgorithm::kUdtBp, SplitAlgorithm::kUdtLp,
+          SplitAlgorithm::kUdtGp, SplitAlgorithm::kUdtEs}) {
+      SplitCandidate found = MakeSplitFinder(algorithm)->FindBestSplit(
+          ds, set, scorer, percentile, nullptr, nullptr, &axes);
+      ASSERT_EQ(found.valid, exhaustive.valid)
+          << SplitAlgorithmToString(algorithm) << " at depth " << depth;
+      if (!exhaustive.valid) continue;
+      if (algorithm == SplitAlgorithm::kUdt) {
+        EXPECT_EQ(found.score, exhaustive.score) << "at depth " << depth;
+        EXPECT_EQ(found.split_point, exhaustive.split_point)
+            << "at depth " << depth;
+      } else {
+        EXPECT_NEAR(found.score, exhaustive.score, 1e-9)
+            << SplitAlgorithmToString(algorithm) << " at depth " << depth;
+      }
+    }
+    if (exhaustive.valid && depth < 3) {
+      WorkingSet left;
+      WorkingSet right;
+      PartitionWorkingSet(ds, set, exhaustive.attribute,
+                          exhaustive.split_point, &left, &right);
+      if (!left.empty()) pending.emplace_back(std::move(left), depth + 1);
+      if (!right.empty()) pending.emplace_back(std::move(right), depth + 1);
+    }
+  }
+  EXPECT_GT(nodes, 1);
+}
+
 std::vector<GeneratedCase> GeneratedCases() {
   std::vector<GeneratedCase> cases;
   for (ErrorModel model : {ErrorModel::kGaussian, ErrorModel::kUniform}) {
