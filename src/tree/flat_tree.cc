@@ -105,7 +105,58 @@ FlatTree FlattenTree(const DecisionTree& tree) {
     }
   }
   UDT_DCHECK(static_cast<size_t>(next_child) == n);
+  AssignDfsRanks(&flat);
   return flat;
+}
+
+// Children are visited in the scalar traversal's order (numerical: left
+// then right; categorical: present children by ascending category).
+// Records read from a file are ranked before they are validated, so the
+// walk checks every index, ranks each node once and scans at most the
+// child table's length in slots (each slot of a well-formed tree belongs
+// to one node, so no check fires there): linear and in range on any input.
+void AssignDfsRanks(FlatTree* flat) {
+  const int32_t n = flat->num_nodes();
+  std::vector<int32_t>& ranks = flat->dfs_rank;
+  ranks.assign(static_cast<size_t>(n), -1);
+  const int64_t table_size = static_cast<int64_t>(flat->child_table.size());
+  int64_t slots_left = table_size;
+  std::vector<int32_t> stack;
+  const auto push_child = [&](int64_t child) {
+    if (child >= 0 && child < n && ranks[static_cast<size_t>(child)] < 0) {
+      stack.push_back(static_cast<int32_t>(child));
+    }
+  };
+  push_child(0);
+  int32_t next_rank = 0;
+  while (!stack.empty()) {
+    const int32_t node = stack.back();
+    stack.pop_back();
+    const size_t i = static_cast<size_t>(node);
+    if (ranks[i] >= 0) continue;
+    ranks[i] = next_rank++;
+    const int64_t first = flat->first[i];
+    switch (flat->node_kind(node)) {
+      case FlatNodeKind::kNumerical:
+        push_child(first + 1);
+        push_child(first);
+        break;
+      case FlatNodeKind::kCategorical: {
+        const int64_t arity = flat->num_children[i];
+        if (first < 0 || arity < 0 || arity > slots_left ||
+            first + arity > table_size) {
+          break;
+        }
+        slots_left -= arity;
+        for (int64_t slot = first + arity - 1; slot >= first; --slot) {
+          push_child(flat->child_table[static_cast<size_t>(slot)]);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- kernels
@@ -113,14 +164,15 @@ FlatTree FlattenTree(const DecisionTree& tree) {
 // PropagateFlat mirrors the Propagate traversal of tree/classify.cc
 // statement for statement, reading struct-of-arrays records instead of
 // chasing TreeNode pointers. Identical control flow over identical
-// constraint state means the identical sequence of ConstrainedMass /
-// ConditionalCdf evaluations, weight products and leaf accumulations — the
-// bitwise guarantee. The former recursion is replayed by an explicit op
-// stack in the reusable scratch: each node visit pushes, in reverse, the
-// exact statement sequence the recursive body executed (constraint
-// mutation, child visit, constraint restore), so a pathological
-// million-node split chain costs heap capacity instead of overflowing the
-// machine stack.
+// constraint state means the identical sequence of split evaluations
+// (the fused PdfEvalNumericalSplit equals the pointer path's
+// ConstrainedMass / ConditionalCdf pair bit for bit), weight products and
+// leaf accumulations — the bitwise guarantee. The former recursion is
+// replayed by an explicit op stack in the reusable scratch: each node
+// visit pushes, in reverse, the exact statement sequence the recursive
+// body executed (constraint mutation, child visit, constraint restore),
+// so a pathological million-node split chain costs heap capacity instead
+// of overflowing the machine stack.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define UDT_PREFETCH(addr) __builtin_prefetch(addr)
@@ -190,17 +242,19 @@ void PropagateFlat(const FlatTree& flat, const UncertainTuple& tuple,
       continue;
     }
 
-    const SampledPdf& pdf = tuple.values[j].pdf();
-    double mass = ConstrainedMass(pdf, scratch->lo[j], scratch->hi[j]);
-    if (mass <= 0.0) continue;
-    double p_left = ConditionalCdf(pdf, scratch->lo[j], scratch->hi[j],
-                                   flat.split_point[i]);
+    // One fused evaluation yields the constrained mass and p_left of the
+    // pointer path's ConstrainedMass + ConditionalCdf pair, bit for bit
+    // (see pdf/pdf_kernels.h).
+    const PdfSplitEval eval =
+        PdfEvalNumericalSplit(tuple.values[j].pdf(), scratch->lo[j],
+                              scratch->hi[j], flat.split_point[i]);
+    if (eval.mass <= 0.0) continue;
 
     // The recursive order was: narrow hi, visit left, restore hi, narrow
     // lo, visit right, restore lo. Both saved bounds are read now — safe
     // because a subtree always restores every bound it touches before
     // control returns to this level.
-    double w_left = weight * p_left;
+    double w_left = weight * eval.p_left;
     double w_right = weight - w_left;
     const bool go_left = w_left >= kMinFractionWeight;
     const bool go_right = w_right >= kMinFractionWeight;
@@ -236,48 +290,6 @@ void Renormalise(int num_classes, double* out) {
 }
 
 // ------------------------------------------------------ batch machinery
-
-// DFS-preorder rank of every node, visiting children in the scalar
-// traversal's order (numerical: left then right; categorical: present
-// children by ascending category). Two leaves reached by the same tuple
-// are accumulated by the scalar kernel in exactly this rank order, so the
-// batch kernel sorts its deferred leaf hits by rank to replay it.
-// Computed once per tree and cached in the scratch (see the lifetime
-// contract on FlatBatchScratch).
-const std::vector<int32_t>& DfsRanksFor(const FlatTree& flat,
-                                        FlatBatchScratch* bs) {
-  for (const FlatBatchScratch::RankCacheEntry& entry : bs->rank_cache) {
-    if (entry.tree == &flat) return entry.ranks;
-  }
-  bs->rank_cache.push_back({&flat, {}});
-  std::vector<int32_t>& ranks = bs->rank_cache.back().ranks;
-  ranks.assign(static_cast<size_t>(flat.num_nodes()), 0);
-  std::vector<int32_t> stack;
-  stack.push_back(0);
-  int32_t next_rank = 0;
-  while (!stack.empty()) {
-    const int32_t node = stack.back();
-    stack.pop_back();
-    const size_t i = static_cast<size_t>(node);
-    ranks[i] = next_rank++;
-    switch (flat.node_kind(node)) {
-      case FlatNodeKind::kLeaf:
-        break;
-      case FlatNodeKind::kNumerical:
-        stack.push_back(flat.first[i] + 1);
-        stack.push_back(flat.first[i]);
-        break;
-      case FlatNodeKind::kCategorical: {
-        const int32_t* children = flat.child_table.data() + flat.first[i];
-        for (int32_t v = flat.num_children[i] - 1; v >= 0; --v) {
-          if (children[v] >= 0) stack.push_back(children[v]);
-        }
-        break;
-      }
-    }
-  }
-  return ranks;
-}
 
 // Effective numerical bounds for `attribute` on a constraint chain. Each
 // record stores fully-updated bounds, so the nearest record wins; no
@@ -439,7 +451,7 @@ void ClassifyFlatBatch(const FlatTree& flat,
   UDT_CHECK(n <= static_cast<size_t>(
                      std::numeric_limits<int32_t>::max()));
   FlatBatchScratch& bs = scratch->batch;
-  const std::vector<int32_t>& ranks = DfsRanksFor(flat, &bs);
+  const std::vector<int32_t>& ranks = flat.dfs_rank;
 
   bs.frontier.clear();
   bs.constraints.clear();
@@ -506,9 +518,7 @@ void ClassifyFlatBatch(const FlatTree& flat,
       LookupNumericalBounds(bs.constraints, item.constraint, attribute, &lo,
                             &hi);
       const SampledPdf& pdf = tuple.values[j].pdf();
-      // One fused lockstep evaluation yields both the constrained mass and
-      // p_left of the scalar path's ConstrainedMass + ConditionalCdf pair,
-      // bit for bit (see pdf/pdf_kernels.h).
+      // The same fused split evaluation as the scalar kernel.
       const PdfSplitEval eval =
           PdfEvalNumericalSplit(pdf, lo, hi, flat.split_point[i]);
       if (eval.mass <= 0.0) continue;

@@ -59,6 +59,13 @@ struct FlatTree {
   // Leaves with bitwise-identical distributions share one entry.
   std::vector<double> leaf_values;
 
+  // ------------------------------------------------------ derived data
+
+  // DFS-preorder rank of every node, in the scalar traversal's child
+  // order. Derived from the records above by AssignDfsRanks whenever a
+  // FlatTree is produced (FlattenTree, ReadFlatTreeBody); not serialised.
+  std::vector<int32_t> dfs_rank;
+
   int num_nodes() const { return static_cast<int>(kind.size()); }
   int num_leaves() const;
 
@@ -70,6 +77,12 @@ struct FlatTree {
 // Flattens `tree` breadth-first. The result classifies bitwise-identically
 // to the source tree through the kernels below.
 FlatTree FlattenTree(const DecisionTree& tree);
+
+// Fills flat->dfs_rank from the node records. The batch kernel replays a
+// tuple's leaf hits in this order, the order the scalar depth-first
+// traversal accumulates them. Safe on unvalidated records: out-of-range
+// children are skipped and no node is ranked twice.
+void AssignDfsRanks(FlatTree* flat);
 
 // One deferred operation of the scalar traversal's explicit stack: visit a
 // node with a fractional weight, or set/restore one per-attribute path
@@ -120,11 +133,8 @@ struct FlatLeafHit {
   double weight;
 };
 
-// Reusable buffers of the batch kernels. Lifetime contract for the rank
-// cache: every distinct FlatTree pointer classified through one scratch
-// must stay alive (and unmoved) for the scratch's lifetime — true for
-// sessions, which co-own their compiled artifact; direct kernel callers
-// juggling short-lived trees should use a fresh scratch per tree.
+// Reusable buffers of the batch kernels. They hold no per-tree state, so
+// one scratch serves any sequence of trees.
 struct FlatBatchScratch {
   std::vector<FlatBatchItem> frontier;
   std::vector<FlatBatchItem> sorted;  // frontier grouped by node id
@@ -136,13 +146,6 @@ struct FlatBatchScratch {
   // pointer-array arguments without per-call allocation.
   std::vector<const UncertainTuple*> tuple_ptrs;
   std::vector<double*> row_ptrs;
-
-  // DFS-preorder node ranks, one entry per tree seen by this scratch.
-  struct RankCacheEntry {
-    const FlatTree* tree;
-    std::vector<int32_t> ranks;
-  };
-  std::vector<RankCacheEntry> rank_cache;
 };
 
 // Reusable per-worker traversal state. One instance supports any number of

@@ -132,6 +132,7 @@ StatusOr<FlatTree> ReadFlatTreeBody(LineReader* reader, int num_classes) {
   UDT_RETURN_NOT_OK(ReadTokenLine(
       reader, static_cast<size_t>(num_leaf_values), "leaf",
       [](const std::string& t) { return ParseDouble(t); }, &flat.leaf_values));
+  AssignDfsRanks(&flat);
   return flat;
 }
 
@@ -144,7 +145,8 @@ Status ValidateFlatTree(const FlatTree& flat, const Schema& schema,
   }
   const size_t un = static_cast<size_t>(n);
   if (flat.attribute.size() != un || flat.split_point.size() != un ||
-      flat.first.size() != un || flat.num_children.size() != un) {
+      flat.first.size() != un || flat.num_children.size() != un ||
+      flat.dfs_rank.size() != un) {
     return Status::InvalidArgument(context + ": ragged node arrays");
   }
   if (flat.leaf_values.size() % static_cast<size_t>(flat.num_classes) != 0) {

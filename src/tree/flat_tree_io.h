@@ -32,7 +32,8 @@ void WriteFlatTreeBody(const FlatTree& flat, std::ostream& out);
 // EOF). `num_classes` sizes the leaf rows; the reader supplies the error
 // context and the offending line number, so a parse error in the third
 // tree of a forest container points at the absolute line in the file.
-// The result is unvalidated — run ValidateFlatTree before traversing it.
+// The result carries its DFS ranks (AssignDfsRanks) but is unvalidated —
+// run ValidateFlatTree before traversing it.
 StatusOr<FlatTree> ReadFlatTreeBody(LineReader* reader, int num_classes);
 
 // Structural validation of an untrusted flat layout: every index a

@@ -5,10 +5,12 @@
 // and serving thread counts (1 / 4) — and to the pointer-tree oracle.
 // Also the explicit-stack traversal regression: a degenerate
 // 200k-deep split chain classifies without overflowing the machine stack
-// (both the pointer and the flat traversal used to recurse per node).
+// (both the pointer and the flat traversal used to recurse per node), and
+// a scratch stays reusable across a tree reassigned in place.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -26,6 +28,7 @@
 #include "pdf/pdf_builder.h"
 #include "tree/classify.h"
 #include "tree/flat_tree.h"
+#include "tree/flat_tree_io.h"
 
 namespace udt {
 namespace {
@@ -340,6 +343,92 @@ TEST(DeepTreeTest, ChainTraversalDoesNotOverflowTheStack) {
   EXPECT_TRUE(RowsEqual(batch_row.data(), pointer.data(), 2));
 
   DismantleChain(&tree);
+}
+
+// ------------------------------------------------------------- DFS ranks
+
+// One tuple through the batch kernel.
+std::vector<double> BatchRow(const FlatTree& flat, const UncertainTuple& tuple,
+                             FlatTraversalScratch* scratch) {
+  std::vector<double> row(static_cast<size_t>(flat.num_classes));
+  const UncertainTuple* tuples[] = {&tuple};
+  double* rows[] = {row.data()};
+  ClassifyFlatBatch(flat, tuples, rows, 1, scratch);
+  return row;
+}
+
+std::unique_ptr<TreeNode> LeafNode(std::vector<double> distribution) {
+  auto node = std::make_unique<TreeNode>();
+  node->MakeLeaf();
+  node->distribution = std::move(distribution);
+  return node;
+}
+
+// The batch kernel takes its leaf-hit order from the tree's own DFS ranks,
+// so a scratch reused across a tree reassigned at the same address (1
+// node, then 3) must give the rows a fresh scratch gives.
+TEST(RankOrderTest, TreeReassignedInPlaceKeepsScratchReusable) {
+  const Schema schema = Schema::Numerical(1, {"c0", "c1"});
+  FlatTree flat = FlattenTree(DecisionTree(schema, LeafNode({0.5, 0.5})));
+  // Straddles the split below, so both leaves are hit.
+  auto pdf = MakeGaussianErrorPdf(0.1, 1.0, 10);
+  ASSERT_TRUE(pdf.ok());
+  UncertainTuple tuple;
+  tuple.values.push_back(UncertainValue::Numerical(std::move(*pdf)));
+  FlatTraversalScratch reused;
+  BatchRow(flat, tuple, &reused);
+
+  auto root = std::make_unique<TreeNode>();
+  root->attribute = 0;
+  root->split_point = 0.0;
+  root->left = LeafNode({0.9, 0.1});
+  root->right = LeafNode({0.2, 0.8});
+  flat = FlattenTree(DecisionTree(schema, std::move(root)));
+  ASSERT_EQ(flat.num_nodes(), 3);
+
+  FlatTraversalScratch fresh;
+  std::vector<double> scalar(2);
+  ClassifyFlat(flat, tuple, &fresh, scalar.data());
+  EXPECT_TRUE(RowsEqual(BatchRow(flat, tuple, &reused).data(),
+                        BatchRow(flat, tuple, &fresh).data(), 2));
+  EXPECT_TRUE(
+      RowsEqual(BatchRow(flat, tuple, &fresh).data(), scalar.data(), 2));
+}
+
+// Loaded records are ranked before validation, and validation accepts
+// children shared between parents. A 64-node chain where node i points
+// at i+1 and i+2 has Fibonacci-many root-leaf paths; ranking must still
+// visit each node once.
+TEST(RankOrderTest, SharedChildrenAreRankedOnce) {
+  constexpr int kNodes = 64;
+  FlatTree flat;
+  flat.num_classes = 2;
+  for (int i = 0; i < kNodes; ++i) {
+    const bool leaf = i >= kNodes - 2;
+    flat.kind.push_back(static_cast<uint8_t>(leaf ? FlatNodeKind::kLeaf
+                                                   : FlatNodeKind::kNumerical));
+    flat.attribute.push_back(leaf ? -1 : 0);
+    flat.split_point.push_back(0.0);
+    flat.first.push_back(leaf ? 2 * (i - (kNodes - 2)) : i + 1);
+    flat.num_children.push_back(0);
+  }
+  flat.leaf_values = {1.0, 0.0, 0.0, 1.0};
+  AssignDfsRanks(&flat);
+  ASSERT_TRUE(
+      ValidateFlatTree(flat, Schema::Numerical(1, {"c0", "c1"}), "dag").ok());
+  std::vector<int32_t> sorted = flat.dfs_rank;
+  std::sort(sorted.begin(), sorted.end());
+  for (int i = 0; i < kNodes; ++i) EXPECT_EQ(sorted[static_cast<size_t>(i)], i);
+
+  // Full weight goes right at every split: a linear walk to node 62.
+  UncertainTuple tuple;
+  tuple.values.push_back(UncertainValue::Numerical(SampledPdf::PointMass(1.0)));
+  FlatTraversalScratch scratch;
+  std::vector<double> scalar(2);
+  ClassifyFlat(flat, tuple, &scratch, scalar.data());
+  EXPECT_TRUE(
+      RowsEqual(BatchRow(flat, tuple, &scratch).data(), scalar.data(), 2));
+  EXPECT_EQ(scalar[0], 1.0);
 }
 
 }  // namespace

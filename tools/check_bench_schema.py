@@ -2,13 +2,17 @@
 """Check a freshly generated bench JSON against its committed sidecar.
 
 The bench harnesses emit one JSON object per line (bench_common JsonRows):
-bench_serving_throughput, bench_forest_throughput, bench_sustained_serving,
-bench_serve_frontend and bench_storage_compression (the storage tier's
-accuracy-vs-compression sweep, BENCH_storage_compression.json) write
-BENCH_<name>.json sidecars this script understands, as does the
-batch-vs-scalar traversal sweep inside bench_micro_kernels
-(BENCH_micro_batch_kernels.json). CI regenerates each file in the Release smoke job and this
-script fails on *schema* drift only — keys added or removed, value types
+bench_fig6_execution_time (BENCH_fig6_execution_time.json),
+bench_adaptive_serving (BENCH_adaptive_serving.json),
+bench_storage_compression (the storage tier's accuracy-vs-compression
+sweep, BENCH_storage_compression.json) and the batch-vs-scalar traversal
+sweep inside bench_micro_kernels (BENCH_micro_batch_kernels.json) write
+BENCH_<name>.json sidecars this script understands. Serving latency and
+throughput per layer come from the layered benchmark (perfbench/), which
+writes its own results and is not checked here. CI regenerates the
+last three in the Release smoke job; a regenerated fig6 sidecar is
+checked against the one it replaces. This script fails on *schema*
+drift only — keys added or removed, value types
 changed, or the categorical dimensions (dataset / path / kind /
 batch_size...) no longer covering what the sidecar covers. Timing values
 are expected to move run to run and are deliberately not compared.
